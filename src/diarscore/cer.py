@@ -6,6 +6,12 @@ point per token (so each CJK character is one token).  Alignment is
 unit-cost Levenshtein; when several minimum-cost alignments exist the
 traceback prefers substitution over deletion over insertion, making the
 S/D/I split deterministic.
+
+The DP table is computed one hypothesis column at a time as bit vectors
+over the reference positions (Myers' bit-parallel algorithm on Python
+ints).  A distance needs O(n) memory for a reference of n characters; the
+S/D/I traceback keeps 2n bits per hypothesis character instead of a full
+integer table.
 """
 
 from __future__ import annotations
@@ -15,8 +21,6 @@ import string
 import unicodedata
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
 
 from .errors import ValidationError
 
@@ -71,56 +75,85 @@ def normalize_text(raw: str, strip_punctuation: bool = True) -> CharSeq:
     )
 
 
-def _codes(text: str) -> np.ndarray:
-    return np.array([ord(c) for c in text], dtype=np.int64)
+def _columns(ref: str, hyp: str):
+    """Yield the vertical deltas (VP, VN) of each DP column j = 1..len(hyp).
 
-
-def _distance_rows(ref: str, hyp: str):
-    """Yield successive DP rows d[i][0..m] of the Levenshtein table."""
-    m = len(hyp)
-    hyp_codes = _codes(hyp)
-    js = np.arange(m + 1, dtype=np.int64)
-    row = js.copy()
-    yield row
-    for i, ch in enumerate(ref, 1):
-        neq = hyp_codes != ord(ch)
-        base = np.minimum(row[:-1] + neq, row[1:] + 1)
-        stacked = np.concatenate(([i], base))
-        # chained insertions: d[i][j] = min_k<=j (stacked[k] + j - k)
-        row = np.minimum.accumulate(stacked - js) + js
-        yield row
+    Bit i-1 of VP (VN) is set when d[i][j] - d[i-1][j] is +1 (-1); both
+    clear means 0.  This is Myers' bit-vector algorithm (Myers 1999) in
+    Hyyro's (2001) global form: the top row d[0][j] = j adds a carry-in of 1
+    to every horizontal delta, and column 0 (d[i][0] = i) is all +1.
+    """
+    mask = (1 << len(ref)) - 1
+    peq: dict[str, int] = {}
+    for pos, ch in enumerate(ref):
+        peq[ch] = peq.get(ch, 0) | (1 << pos)
+    vp, vn = mask, 0
+    for ch in hyp:
+        eq = peq.get(ch, 0)
+        xv = eq | vn
+        xh = (((eq & vp) + vp) ^ vp) | eq
+        hp = vn | (~(xh | vp) & mask)
+        hn = vp & xh
+        hp = (hp << 1) | 1
+        hn <<= 1
+        vp = (hn | ~(xv | hp)) & mask
+        vn = hp & xv
+        yield vp, vn
 
 
 def edit_distance(ref: str, hyp: str) -> int:
-    """Unit-cost Levenshtein distance (no traceback, O(min memory))."""
-    if not ref:
-        return len(hyp)
-    if not hyp:
-        return len(ref)
-    for row in _distance_rows(ref, hyp):
+    """Unit-cost Levenshtein distance, bit-parallel, in O(len(ref)) memory."""
+    vp, vn = (1 << len(ref)) - 1, 0
+    for vp, vn in _columns(ref, hyp):
         pass
-    return int(row[-1])
+    return len(hyp) + vp.bit_count() - vn.bit_count()
 
 
 def edit_counts(ref: CharSeq, hyp: CharSeq) -> EditCounts:
-    """Minimum-cost alignment counts with the fixed sub > del > ins tie-break."""
+    """Minimum-cost alignment counts with the fixed sub > del > ins tie-break.
+
+    Keeps every column's (VP, VN) pair, 2n bits per hypothesis character
+    for a reference of n, and walks back from d[n][m] through them.  The
+    walk tracks here = d[i][j] and left = d[i][j-1] and reads each
+    neighbour from one bit: d[i-1][j] = here - delta(i, j) and
+    d[i-1][j-1] = left - delta(i, j-1).  A full prefix popcount is needed
+    only when the walk enters a new column.
+    """
     n, m = len(ref), len(hyp)
-    dtype = np.uint16 if max(n, m) < 0xFFFF else np.uint32
-    table = np.empty((n + 1, m + 1), dtype=dtype)
-    for i, row in enumerate(_distance_rows(ref, hyp)):
-        table[i] = row
+    vps, vns = [(1 << n) - 1], [0]  # column 0: d[i][0] = i
+    for vp, vn in _columns(ref, hyp):
+        vps.append(vp)
+        vns.append(vn)
+
+    def cell(i: int, j: int) -> int:
+        low = (1 << i) - 1
+        return j + (vps[j] & low).bit_count() - (vns[j] & low).bit_count()
+
+    def delta(i: int, j: int) -> int:
+        return (vps[j] >> (i - 1) & 1) - (vns[j] >> (i - 1) & 1)
+
     s = d = ins = 0
     i, j = n, m
-    while i > 0 or j > 0:
-        here = int(table[i, j])
-        if i > 0 and j > 0 and here == int(table[i - 1, j - 1]) + (ref[i - 1] != hyp[j - 1]):
-            s += ref[i - 1] != hyp[j - 1]
+    here = cell(n, m)
+    left = cell(n, m - 1) if m else 0
+    while i and j:
+        diag = left - delta(i, j - 1)
+        cost = ref[i - 1] != hyp[j - 1]
+        if here == diag + cost:
+            s += cost
             i -= 1
             j -= 1
-        elif i > 0 and here == int(table[i - 1, j]) + 1:
+            here = diag
+            left = cell(i, j - 1) if j else 0
+        elif vps[j] >> (i - 1) & 1:  # d[i-1][j] = here - 1
             d += 1
+            left -= delta(i, j - 1)
             i -= 1
+            here -= 1
         else:
             ins += 1
             j -= 1
-    return EditCounts(s=s, d=d, i=ins, n=n)
+            here = left
+            left = cell(i, j - 1) if j else 0
+    # on the top row only insertions remain, in the left column only deletions
+    return EditCounts(s=s, d=d + i, i=ins + j, n=n)

@@ -137,8 +137,10 @@ def parse_rttm(stream: IO[str] | Iterable[str]) -> list[SpeakerTurn]:
                 speaker=fields[7],
                 interval=TimeInterval(start, dur),
             )
-        except (ParseError, ValidationError) as exc:
-            raise type(exc)(f"line {lineno}: {exc}") from None
+        except ParseError as exc:
+            raise ParseError(str(exc), line=lineno) from None
+        except ValidationError as exc:
+            raise ValidationError(f"line {lineno}: {exc}") from None
         turns.append(turn)
     return turns
 
@@ -186,7 +188,7 @@ def parse_transcript(stream: IO[str] | Iterable[str]) -> list[TranscriptEntry]:
         try:
             speaker, session = split_utterance_id(uid)
         except ParseError as exc:
-            raise ParseError(f"line {lineno}: {exc}") from None
+            raise ParseError(str(exc), line=lineno) from None
         entries.append(
             TranscriptEntry(speaker=speaker, session=session, text=text, order_key=len(entries))
         )

@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -17,6 +18,27 @@ def oracle_distance(a: str, b: str) -> int:
             cur[j] = min(prev[j] + 1, cur[j - 1] + 1, prev[j - 1] + (ca != cb))
         prev = cur
     return prev[-1]
+
+
+def oracle_counts(a: str, b: str) -> tuple[int, int, int, int]:
+    """Independent full-table DP and sub > del > ins walk; (s, d, i, n)."""
+    table = [list(range(len(b) + 1))]
+    for i, ca in enumerate(a, 1):
+        row = [i]
+        for j, cb in enumerate(b, 1):
+            row.append(min(table[i - 1][j] + 1, row[j - 1] + 1, table[i - 1][j - 1] + (ca != cb)))
+        table.append(row)
+    s = d = ins = 0
+    i, j = len(a), len(b)
+    while i > 0 or j > 0:
+        if i > 0 and j > 0 and table[i][j] == table[i - 1][j - 1] + (a[i - 1] != b[j - 1]):
+            s += a[i - 1] != b[j - 1]
+            i, j = i - 1, j - 1
+        elif i > 0 and table[i][j] == table[i - 1][j] + 1:
+            d, i = d + 1, i - 1
+        else:
+            ins, j = ins + 1, j - 1
+    return s, d, ins, len(a)
 
 
 def test_normalize_removes_whitespace():
@@ -106,3 +128,62 @@ def test_triangle_inequality(a, b, c):
 @given(texts, texts, texts, texts)
 def test_concatenation_superadditivity(r1, r2, h1, h2):
     assert edit_distance(r1 + r2, h1 + h2) <= edit_distance(r1, h1) + edit_distance(r2, h2)
+
+
+# Lengths around the 30- and 60-bit digit boundaries of Python ints, so the
+# bit vectors span one, two and three digits, plus empty strings.
+lengths = st.sampled_from([0, 1, 29, 30, 31, 59, 60, 61]) | st.integers(0, 70)
+
+
+def sized_text(draw, alphabet: str) -> str:
+    size = draw(lengths)
+    return draw(st.text(alphabet=alphabet, min_size=size, max_size=size))
+
+
+@st.composite
+def tie_heavy_pairs(draw):
+    alphabets = [("a", "ab"), ("ab", "a"), ("ab", "abc"), ("abc", "ab")]
+    ref_alpha, hyp_alpha = draw(st.sampled_from(alphabets))
+    return sized_text(draw, ref_alpha), sized_text(draw, hyp_alpha)
+
+
+@settings(max_examples=300, deadline=None)
+@given(tie_heavy_pairs())
+def test_counts_match_oracle_split(pair):
+    ref, hyp = pair
+    counts = edit_counts(ref, hyp)
+    assert (counts.s, counts.d, counts.i, counts.n) == oracle_counts(ref, hyp)
+
+
+@pytest.mark.parametrize("ref_len", [0, 29, 30, 31, 59, 60, 61])
+@pytest.mark.parametrize("hyp_len", [0, 29, 30, 31, 59, 60, 61])
+def test_counts_match_oracle_at_digit_boundaries(ref_len, hyp_len):
+    rng = random.Random(ref_len * 100 + hyp_len)
+    ref = "".join(rng.choice("ab") for _ in range(ref_len))
+    hyp = "".join(rng.choice("abc") for _ in range(hyp_len))
+    counts = edit_counts(ref, hyp)
+    assert (counts.s, counts.d, counts.i, counts.n) == oracle_counts(ref, hyp)
+    assert edit_distance(ref, hyp) == oracle_distance(ref, hyp)
+
+
+def test_counts_match_oracle_on_long_non_bmp_text():
+    # over 1,000 characters, with astral-plane code points mixed in
+    rng = random.Random(7)
+    alphabet = "a\U00020000\U0001F600"
+    ref = "".join(rng.choice(alphabet) for _ in range(1_050))
+    hyp = list(ref)
+    for _ in range(150):
+        k = rng.randrange(len(hyp))
+        op = rng.randrange(3)
+        if op == 0:
+            hyp[k] = rng.choice(alphabet)
+        elif op == 1:
+            del hyp[k]
+        else:
+            hyp.insert(k, rng.choice(alphabet))
+    hyp = "".join(hyp)
+    counts = edit_counts(ref, hyp)
+    assert (counts.s, counts.d, counts.i, counts.n) == oracle_counts(ref, hyp)
+    assert edit_distance(ref, hyp) == oracle_distance(ref, hyp)
+    assert edit_counts("𠀀", "") == EditCounts(0, 1, 0, 1)
+    assert edit_counts("𠀀a", "a𠀀") == EditCounts(*oracle_counts("𠀀a", "a𠀀"))

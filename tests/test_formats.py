@@ -175,6 +175,19 @@ def test_transcript_errors():
         parse_transcript(io.StringIO("nounderscore some text\n"))
 
 
+def test_parse_errors_keep_line_attribute():
+    # the line number is an attribute, not only a prefix of the message
+    good_rttm = "SPEAKER S001 1 10.50 3.25 <NA> <NA> SPK01 <NA> <NA>"
+    with pytest.raises(ParseError) as exc:
+        parse_rttm([good_rttm, "SPEAKER s 1 x 1.00 <NA> <NA> A <NA> <NA>"])
+    assert exc.value.line == 2
+    assert str(exc.value) == "line 2: not a decimal time with at most 3 fractional digits: 'x'"
+    with pytest.raises(ParseError) as exc:
+        parse_transcript(io.StringIO("SPK01_S001 hi\nnounderscore hi\n"))
+    assert exc.value.line == 2
+    assert str(exc.value) == "line 2: utterance ID without speaker_session shape: 'nounderscore'"
+
+
 def test_emit_transcript():
     entries = parse_transcript(io.StringIO("SPK01_S001 你好\nSPK02_S001 世界\n"))
     assert emit_transcript(entries) == "SPK01_S001 你好\nSPK02_S001 世界\n"
