@@ -1,22 +1,33 @@
 """Deterministic linear-sum assignment with lexicographic tie-breaking.
 
-scipy's solver returns *an* optimal assignment; when several tie, which one
-is unspecified. Scoring output must be reproducible, so the pair choice is
-refined here: rows are fixed in index order, each to the smallest column
-that still permits an optimal completion.
+Scoring output must be reproducible, so among all assignments with optimal
+total cost the one whose column sequence (row 0 first) is lexicographically
+smallest is returned.  The tie-break is folded into the cost, which makes
+the optimum unique, and one Hungarian pass (Kuhn 1955, in the
+shortest-augmenting-path form of Jonker & Volgenant 1987) finds it in
+O(n^3) steps.  Python ints keep the scaled costs exact at any size.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 
-def _optimal_total(cost: np.ndarray, maximize: bool) -> int:
-    if cost.size == 0:
-        return 0
-    rows, cols = linear_sum_assignment(cost, maximize=maximize)
-    return int(cost[rows, cols].sum())
+def _tie_broken(cost: list[list[int]], maximize: bool) -> list[list[int]]:
+    """Scale costs so that ties in the total resolve lexicographically.
+
+    cost'[i][j] = cost[i][j] * n**n + j * n**(n-1-i).  Over any assignment
+    the added terms form the base-n number of its column sequence, which is
+    below n**n: it orders assignments of equal total by their columns and
+    never reorders assignments of different totals.
+    """
+    n = len(cost)
+    scale = n**n
+    sign = -1 if maximize else 1
+    return [
+        [sign * c * scale + j * n ** (n - 1 - i) for j, c in enumerate(row)]
+        for i, row in enumerate(cost)
+    ]
 
 
 def lexsmallest_assignment(cost: np.ndarray, maximize: bool = False) -> list[int]:
@@ -28,20 +39,45 @@ def lexsmallest_assignment(cost: np.ndarray, maximize: bool = False) -> list[int
     n = cost.shape[0]
     if cost.shape != (n, n):
         raise ValueError(f"square matrix required, got {cost.shape}")
-    target = _optimal_total(cost, maximize)
-    free_cols = list(range(n))
-    chosen: list[int] = []
+    a = _tie_broken(cost.tolist(), maximize)
+    # Row and column potentials; owner[j] is the row matched to column j,
+    # with column n a virtual start column for the row being inserted.
+    u = [0] * n
+    v = [0] * (n + 1)
+    owner = [-1] * (n + 1)
     for row in range(n):
-        rest_rows = np.arange(row + 1, n)
-        for idx, col in enumerate(free_cols):
-            other_cols = free_cols[:idx] + free_cols[idx + 1 :]
-            sub = cost[np.ix_(rest_rows, other_cols)]
-            total = int(cost[row, col]) + _optimal_total(sub, maximize)
-            if total == target:
-                chosen.append(col)
-                free_cols.pop(idx)
-                target -= int(cost[row, col])
+        owner[n] = row
+        j0 = n
+        slack = [None] * n
+        prev = [n] * n
+        used = [False] * (n + 1)
+        while True:
+            used[j0] = True
+            i0 = owner[j0]
+            delta = j1 = None
+            for j in range(n):
+                if used[j]:
+                    continue
+                reduced = a[i0][j] - u[i0] - v[j]
+                if slack[j] is None or reduced < slack[j]:
+                    slack[j] = reduced
+                    prev[j] = j0
+                if delta is None or slack[j] < delta:
+                    delta, j1 = slack[j], j
+            for j in range(n + 1):
+                if used[j]:
+                    u[owner[j]] += delta
+                    v[j] -= delta
+                elif j < n:
+                    slack[j] -= delta
+            j0 = j1
+            if owner[j0] == -1:
                 break
-        else:
-            raise AssertionError("no optimal completion found; solver inconsistency")
-    return chosen
+        while j0 != n:
+            j1 = prev[j0]
+            owner[j0] = owner[j1]
+            j0 = j1
+    cols = [0] * n
+    for j in range(n):
+        cols[owner[j]] = j
+    return cols

@@ -1,4 +1,8 @@
 import io
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -273,3 +277,20 @@ def test_jobs_flag_gives_identical_output(capsys, tmp_path):
     _, par, _ = run(capsys, "score-der", "--ref", *paths, "--hyp", *paths, "--jobs", 3)
     strip = lambda text: [ln for ln in text.splitlines() if not ln.startswith("#")]
     assert strip(seq) == strip(par)
+
+
+def test_cli_import_does_not_load_scipy():
+    # interpreter start-up is most of a short scoring job; scipy alone cost
+    # several times the rest of the package's imports
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, diarscore.cli; print('scipy' in sys.modules)"],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

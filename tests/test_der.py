@@ -133,6 +133,13 @@ def test_optimal_map_matches_exhaustive_overlap_maximization():
     assert sum(overlap[pair] for pair in smap.pairs) == best
 
 
+def test_equal_overlaps_pair_speakers_in_id_order():
+    ref = Diarization("S1", {"A": [(0, 10 * S)], "B": [(0, 10 * S)]})
+    hyp = Diarization("S1", {"Y": [(0, 10 * S)], "X": [(0, 10 * S)]})
+    assert set(pairwise_overlap(ref, hyp).values()) == {10 * S}
+    assert optimal_speaker_map(ref, hyp).pairs == (("A", "X"), ("B", "Y"))
+
+
 def test_speaker_map_injectivity_enforced():
     with pytest.raises(ValidationError):
         SpeakerMap(pairs=(("A", "X"), ("A", "Y")), unmatched_ref=(), unmatched_hyp=())
