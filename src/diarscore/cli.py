@@ -222,8 +222,8 @@ def _cmd_synth(args) -> int:
         session=args.session,
     )
     ref = generated.diarization
-    # RTTM carries 2-decimal seconds, so file-bound corruption stays on a
-    # 10 ms grid; amounts must be multiples of 10 for exact file recovery
+    # file-bound corruption stays on a 10 ms grid, so the RTTM files carry
+    # 2-decimal seconds; amounts must be multiples of 10 for exact recovery
     hyp, diar_ledger = corrupt_diarization(
         ref,
         fa_ms=args.fa_ms,

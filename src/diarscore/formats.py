@@ -6,7 +6,8 @@ RTTM lines carry 10 whitespace-separated fields:
 
 with start/duration in decimal seconds.  Times are stored internally as
 integer milliseconds; parsing is exact decimal (no binary floating point
-touches the data path) and emission rounds half-up to 2 decimals.
+touches the data path).  Emission writes 2 decimals for times on the 10 ms
+grid and 3 for any other time, so emitted files re-parse exactly.
 
 Transcript lines are ``<speakerID>_<sessionID><whitespace><text>``, UTF-8,
 one utterance per line.  The speaker/session split is at the *last*
@@ -148,22 +149,23 @@ def parse_rttm(stream: IO[str] | Iterable[str]) -> list[SpeakerTurn]:
 def emit_rttm(turns: Iterable[SpeakerTurn]) -> str:
     """Serialize turns as RTTM text, sorted by (session, start, speaker).
 
-    The format carries 2-decimal seconds; a duration under 5 ms would round
-    to 0.00 and produce an unparseable file, so it is rejected instead.
+    Times on the 10 ms grid carry 2 decimals; any other time carries the
+    exact milliseconds in 3 decimals, so every file re-parses to the same
+    turns.
     """
     ordered = sorted(turns, key=lambda t: (t.session, t.interval.start, t.speaker))
-    lines = []
-    for t in ordered:
-        dur = ms_to_seconds(t.interval.dur)
-        if dur == "0.00":
-            raise ValidationError(
-                f"duration {t.interval.dur} ms rounds to 0.00 and cannot be emitted"
-            )
-        lines.append(
-            f"SPEAKER {t.session} {t.channel} {ms_to_seconds(t.interval.start)} "
-            f"{dur} <NA> <NA> {t.speaker} <NA> <NA>"
-        )
+    lines = [
+        f"SPEAKER {t.session} {t.channel} {_rttm_seconds(t.interval.start)} "
+        f"{_rttm_seconds(t.interval.dur)} <NA> <NA> {t.speaker} <NA> <NA>"
+        for t in ordered
+    ]
     return "".join(line + "\n" for line in lines)
+
+
+def _rttm_seconds(ms: int) -> str:
+    """On the 10 ms grid the same text as ms_to_seconds; off it, exact 3 decimals."""
+    whole, frac = divmod(ms, 1000)
+    return f"{whole}.{frac:03d}" if frac % 10 else f"{whole}.{frac // 10:02d}"
 
 
 def parse_transcript(stream: IO[str] | Iterable[str]) -> list[TranscriptEntry]:

@@ -20,6 +20,7 @@ final ``text`` column.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 from typing import IO, Iterable, Mapping, NamedTuple
 
@@ -66,20 +67,25 @@ class ProbabilityMatrix:
             raise ValidationError(
                 f"matrix shape {values.shape} does not match {len(self.speakers)} speakers"
             )
-        if values.size and (values.min() < 0.0 or values.max() > 1.0):
+        if not ((values >= 0.0) & (values <= 1.0)).all():  # NaN fails both
             raise ValidationError("probabilities must lie in [0, 1]")
         object.__setattr__(self, "values", values)
 
 
 def parse_matrix(stream: IO[str] | Iterable[str]) -> ProbabilityMatrix:
-    """Parse the one-header-line probability matrix format."""
-    lines = iter(enumerate(stream, 1))
-    header = None
-    for lineno, raw in lines:
+    """Parse the one-header-line probability matrix format.
+
+    The body is read by numpy's C text reader.  Input it rejects (syntax
+    that only Python's ``float()`` accepts, or a malformed row) goes through
+    the per-line parser instead, which returns the same values or raises a
+    line-numbered ParseError.
+    """
+    lines = list(stream)
+    for lineno, raw in enumerate(lines, 1):
         if raw.strip():
             header = raw.split()
             break
-    if header is None:
+    else:
         raise ParseError("empty matrix file")
     if len(header) < 3:
         raise ParseError("header needs: session frame_ms speaker...", line=lineno)
@@ -89,24 +95,36 @@ def parse_matrix(stream: IO[str] | Iterable[str]) -> ProbabilityMatrix:
     except ValueError:
         raise ParseError(f"frame_ms not an integer: {header[1]!r}", line=lineno) from None
     speakers = tuple(header[2:])
-    rows = []
-    for lineno, raw in lines:
-        if not raw.strip():
-            continue
-        fields = raw.split()
-        if len(fields) != len(speakers):
-            raise ParseError(
-                f"expected {len(speakers)} probabilities, got {len(fields)}", line=lineno
-            )
-        try:
-            rows.append([float(x) for x in fields])
-        except ValueError:
-            raise ParseError(f"non-numeric probability in {fields!r}", line=lineno) from None
-    values = np.array(rows, dtype=np.float64) if rows else np.empty((0, len(speakers)))
+    body = lines[lineno:]
+    try:
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            # comments=None: "#" is a non-numeric field here, not a comment
+            values = np.loadtxt(body, dtype=np.float64, comments=None, ndmin=2)
+    except ValueError:
+        values = None
+    if values is None or not values.shape[0] or values.shape[1] != len(speakers):
+        values = _parse_rows(body, len(speakers), lineno + 1)
     try:
         return ProbabilityMatrix(session=session, frame_ms=frame_ms, speakers=speakers, values=values)
     except ValidationError as exc:
         raise ValidationError(f"matrix file invalid: {exc}") from None
+
+
+def _parse_rows(body: list[str], width: int, first_lineno: int) -> np.ndarray:
+    """Per-line matrix body parser: ``str.split`` and ``float()`` per field."""
+    rows = []
+    for lineno, raw in enumerate(body, first_lineno):
+        if not raw.strip():
+            continue
+        fields = raw.split()
+        if len(fields) != width:
+            raise ParseError(f"expected {width} probabilities, got {len(fields)}", line=lineno)
+        try:
+            rows.append([float(x) for x in fields])
+        except ValueError:
+            raise ParseError(f"non-numeric probability in {fields!r}", line=lineno) from None
+    return np.array(rows, dtype=np.float64) if rows else np.empty((0, width))
 
 
 def emit_matrix(matrix: ProbabilityMatrix) -> str:

@@ -183,6 +183,23 @@ def test_binarize_validation_error(capsys, tmp_path):
     assert "threshold" in err
 
 
+def test_binarize_rejects_nan_probability(capsys, tmp_path):
+    matrix = tmp_path / "probs.txt"
+    matrix.write_text("S1 10 A B\n0.9 0.9\n0.1 nan\n", encoding="utf-8")
+    code, out, err = run(capsys, "binarize", matrix)
+    assert code == 1
+    assert out == ""
+    assert "[0, 1]" in err
+
+
+def test_binarize_off_grid_frames_re_parse_exactly(capsys, tmp_path):
+    matrix = tmp_path / "probs.txt"
+    matrix.write_text("S1 15 A\n0\n1\n0\n1\n1\n", encoding="utf-8")
+    code, out, _ = run(capsys, "binarize", matrix, "--max-gap", 0, "--min-dur", 0)
+    assert code == 0
+    assert [t.interval for t in parse_rttm(io.StringIO(out))] == [(15, 15), (45, 30)]
+
+
 def test_manifest_and_assemble_round_trip(capsys, session_files, tmp_path):
     _, ref, _ = session_files
     code, manifest_out, _ = run(capsys, "manifest", ref)

@@ -16,6 +16,7 @@ from diarscore.formats import (
     split_utterance_id,
 )
 from diarscore.synth import random_turn_list
+from diarscore.timeline import Diarization, by_session
 
 EXAMPLE_LINE = "SPEAKER S001 1 10.50 3.25 <NA> <NA> SPK01 <NA> <NA>"
 
@@ -206,7 +207,28 @@ def test_channel_field_carried_verbatim():
     assert emit_rttm([turn]).strip() == line
 
 
-def test_emit_rejects_sub_centisecond_duration():
+def test_emit_round_trips_sub_centisecond_duration():
     turn = SpeakerTurn("S001", "1", "SPK01", TimeInterval(0, 4))
-    with pytest.raises(ValidationError, match="0.00"):
-        emit_rttm([turn])
+    assert emit_rttm([turn]).split()[3:5] == ["0.00", "0.004"]
+    assert parse_rttm(io.StringIO(emit_rttm([turn]))) == [turn]
+
+
+@given(st.integers(min_value=0, max_value=10**9), st.integers(min_value=1, max_value=10**8))
+def test_emit_parse_is_identity_on_any_ms(start, dur):
+    turn = SpeakerTurn("S001", "1", "SPK01", TimeInterval(start, dur))
+    text = emit_rttm([turn])
+    assert parse_rttm(io.StringIO(text)) == [turn]
+    for ms, field in zip((start, dur), text.split()[3:5]):
+        if ms % 10 == 0:  # on-grid output is unchanged: 2 decimals
+            assert field == ms_to_seconds(ms)
+
+
+def test_emit_keeps_off_grid_turns_apart():
+    # 2 decimals would write 1.01 + 1.01 and 2.02 + 1.00: touching turns, merged on re-parse
+    d = Diarization("S001", {"A": [(1005, 1005), (2015, 1000)]})
+    text = emit_rttm(d.to_turns())
+    assert [line.split()[3:5] for line in text.splitlines()] == [
+        ["1.005", "1.005"],
+        ["2.015", "1.00"],
+    ]
+    assert by_session(parse_rttm(io.StringIO(text)))["S001"] == d

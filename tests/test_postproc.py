@@ -1,8 +1,10 @@
 import io
+import warnings
 
 import numpy as np
 import pytest
 
+from diarscore import postproc
 from diarscore.cpcer import concat_by_speaker
 from diarscore.errors import ParseError, ValidationError
 from diarscore.formats import TimeInterval
@@ -145,6 +147,107 @@ def test_matrix_file_errors():
         parse_matrix(io.StringIO("S1 ten A\n0.5\n"))
     with pytest.raises(ParseError):
         parse_matrix(io.StringIO("S1 10 A B\n0.5\n"))
+
+
+def test_matrix_without_rows_is_empty_and_silent():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        parsed = parse_matrix(io.StringIO("S1 10 A B\n\n \n"))
+    assert parsed.values.shape == (0, 2)
+
+
+def test_matrix_rejects_nan():
+    with pytest.raises(ValidationError, match=r"\[0, 1\]"):
+        ProbabilityMatrix("S1", 10, ("A",), np.array([[np.nan], [0.7]]))
+    with pytest.raises(ValidationError, match=r"\[0, 1\]"):
+        parse_matrix(io.StringIO("S1 10 A B\n0.1 nan\n"))
+
+
+@pytest.mark.parametrize(
+    "row, message",
+    [("0.5", "expected 2 probabilities, got 1"), ("0.5 x", "non-numeric probability")],
+)
+@pytest.mark.parametrize("line", [2, 4])
+def test_matrix_error_line_numbers(row, message, line):
+    body = ["0.1 0.2\n", "\n", "0.3 0.4\n"][: line - 2]
+    with pytest.raises(ParseError, match=message) as info:
+        parse_matrix(["S1 10 A B\n", *body, row + "\n", "0.5 0.5\n"])
+    assert info.value.line == line
+
+
+NUMBERS = ["0", "1", "0.5", ".25", "1.", "+0.75", "-0", "1e-1", "5E-1", "0.000"]
+EXOTIC = [
+    "0_5", "0.0_5", "１", "١", "٠.٥", "nan", "-inf", "inf", "1e5", "-0.5", "#", "#0.5",
+    '"0.5"', "'1'", "0.5,0.5", "x", "0x1", "1__0", "٫5", "0.5\x00", ".", "\r",
+]
+SEPARATORS = [" ", "  ", "\t", "\x0b", "\x0c", "\x1c", "\x85", "\xa0", "\u3000", "\u2028"]
+ENDINGS = ["\n", "\n", "\r\n", " \n", "\t\n"]
+
+
+def oracle_matrix(lines):
+    """The matrix body read with str.split and float() per line."""
+    start = next(i for i, raw in enumerate(lines) if raw.strip())
+    width = len(lines[start].split()) - 2
+    rows = []
+    for lineno, raw in enumerate(lines[start + 1 :], start + 2):
+        fields = raw.split()
+        if not fields:
+            continue
+        if len(fields) != width:
+            return ("parse", f"expected {width} probabilities, got {len(fields)}", lineno)
+        try:
+            rows.append([float(x) for x in fields])
+        except ValueError:
+            return ("parse", f"non-numeric probability in {fields!r}", lineno)
+    values = np.array(rows, dtype=np.float64).reshape(len(rows), width)
+    if not ((values >= 0) & (values <= 1)).all():
+        return ("invalid",)
+    return ("values", values.shape, values.tobytes())
+
+
+def random_matrix_lines(rng):
+    width = int(rng.integers(1, 4))
+    lines = ["\n"] * int(rng.integers(0, 2))
+    lines.append("S1 10 " + " ".join("ABC"[:width]) + "\n")
+    exotic = rng.random() < 0.5
+    for _ in range(int(rng.integers(0, 7))):
+        if rng.random() < 0.1:
+            lines.append(str(rng.choice(["", "\n", " \n", "\t\x0b\n", "\u3000\r\n"])))
+            continue
+        n = width if rng.random() < 0.9 else int(rng.integers(0, width + 2))
+        tokens = [
+            str(rng.choice(EXOTIC if exotic and rng.random() < 0.2 else NUMBERS)) for _ in range(n)
+        ]
+        line = str(rng.choice(["", " ", "\xa0"]))
+        for k, token in enumerate(tokens):
+            line += (str(rng.choice(SEPARATORS)) if k else "") + token
+        lines.append(line + str(rng.choice(ENDINGS)))
+    if rng.random() < 0.3:
+        lines[-1] = lines[-1].rstrip("\n")
+    return lines
+
+
+def test_matrix_reader_matches_per_line_oracle(monkeypatch):
+    fallbacks = []
+    per_line = postproc._parse_rows
+    monkeypatch.setattr(
+        postproc, "_parse_rows", lambda *args: fallbacks.append(1) or per_line(*args)
+    )
+    rng = np.random.default_rng(2022)
+    cases = 3000
+    for _ in range(cases):
+        lines = random_matrix_lines(rng)
+        expected = oracle_matrix(lines)
+        try:
+            values = parse_matrix(lines).values
+        except ParseError as exc:
+            assert ("parse", str(exc).split(": ", 1)[1], exc.line) == expected, lines
+        except ValidationError:
+            assert expected == ("invalid",), lines
+        else:
+            assert ("values", values.shape, values.tobytes()) == expected, lines
+    # both the C reader and the per-line fallback carry a real share of the cases
+    assert cases // 10 < len(fallbacks) < cases * 9 // 10
 
 
 def test_assemble_passthrough_and_ordering():
