@@ -18,6 +18,7 @@ from .der import (
     brute_force_der,
     compute_der,
     optimal_speaker_map,
+    score_der,
 )
 from .errors import (
     DiarscoreError,
@@ -107,5 +108,6 @@ __all__ = [
     "parse_rttm",
     "parse_transcript",
     "relabel_to_reference",
+    "score_der",
     "smooth_segments",
 ]

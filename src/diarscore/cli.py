@@ -19,7 +19,7 @@ from typing import Callable, Sequence
 
 from . import __version__
 from .cpcer import aggregate_counts, attach_order_from_rttm, compute_cpcer, concat_by_speaker
-from .der import aggregate_der, brute_force_der, compute_der, optimal_speaker_map
+from .der import aggregate_der, brute_force_der, score_der
 from .errors import DiarscoreError, ValidationError
 from .formats import TranscriptEntry, emit_rttm, emit_transcript, parse_rttm, parse_transcript
 from .fusion import fuse_channels
@@ -79,13 +79,10 @@ def _cmd_score_der(args) -> int:
     hyps = by_session(hyp_turns)
     common = _report_common_sessions(refs, hyps)
 
+    scorer = brute_force_der if args.brute_force else score_der
+
     def score(session: str):
-        if args.brute_force:
-            _, breakdown = brute_force_der(refs[session], hyps[session])
-        else:
-            smap = optimal_speaker_map(refs[session], hyps[session])
-            breakdown = compute_der(refs[session], hyps[session], smap)
-        return breakdown
+        return scorer(refs[session], hyps[session])[1]
 
     breakdowns = _map_sessions(score, common, args.jobs)
     overall = aggregate_der(breakdowns)

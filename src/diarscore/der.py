@@ -20,7 +20,14 @@ import numpy as np
 
 from .assignment import lexsmallest_assignment
 from .errors import UndefinedMetricError, ValidationError
-from .timeline import Diarization, PairedRegion, build_regions, pairwise_overlap
+from .timeline import (
+    Diarization,
+    _activity_totals,
+    _ActivityTotals,
+    _overlap,
+    build_regions,
+    pairwise_overlap,
+)
 
 __all__ = [
     "DerBreakdown",
@@ -29,6 +36,7 @@ __all__ = [
     "brute_force_der",
     "compute_der",
     "optimal_speaker_map",
+    "score_der",
 ]
 
 
@@ -84,7 +92,12 @@ def optimal_speaker_map(ref: Diarization, hyp: Diarization) -> SpeakerMap:
     Ties between equally good assignments are broken lexicographically by
     (ref id, hyp id).
     """
-    overlap = pairwise_overlap(ref, hyp)
+    return _speaker_map(pairwise_overlap(ref, hyp), ref, hyp)
+
+
+def _speaker_map(
+    overlap: dict[tuple[str, str], int], ref: Diarization, hyp: Diarization
+) -> SpeakerMap:
     refs = sorted(ref.speaker_ids)
     hyps = sorted(hyp.speaker_ids)
     n = max(len(refs), len(hyps))
@@ -100,6 +113,12 @@ def optimal_speaker_map(ref: Diarization, hyp: Diarization) -> SpeakerMap:
         j = cols[i]
         if j < len(hyps) and matrix[i, j] > 0:
             pairs.append((r, hyps[j]))
+    return _with_unmatched(pairs, refs, hyps)
+
+
+def _with_unmatched(
+    pairs: Sequence[tuple[str, str]], refs: list[str], hyps: list[str]
+) -> SpeakerMap:
     matched_ref = {r for r, _ in pairs}
     matched_hyp = {h for _, h in pairs}
     return SpeakerMap(
@@ -109,21 +128,24 @@ def optimal_speaker_map(ref: Diarization, hyp: Diarization) -> SpeakerMap:
     )
 
 
-def _score_regions(regions: Sequence[PairedRegion], pairs: Iterable[tuple[str, str]]) -> DerBreakdown:
+def _breakdown(totals: _ActivityTotals, pairs: Iterable[tuple[str, str]]) -> DerBreakdown:
     pair_list = list(pairs)
     fa = miss = spkerr = total = 0
-    for region in regions:
-        n_ref = len(region.ref_active)
-        n_hyp = len(region.hyp_active)
-        n_correct = sum(
-            1 for r, h in pair_list if r in region.ref_active and h in region.hyp_active
-        )
-        dur = region.interval.dur
+    for (ref_active, hyp_active), dur in totals.items():
+        n_ref = len(ref_active)
+        n_hyp = len(hyp_active)
+        n_correct = sum(1 for r, h in pair_list if r in ref_active and h in hyp_active)
         total += dur * n_ref
         miss += dur * max(0, n_ref - n_hyp)
         fa += dur * max(0, n_hyp - n_ref)
         spkerr += dur * (min(n_ref, n_hyp) - n_correct)
     return DerBreakdown(fa=fa, miss=miss, spkerr=spkerr, total=total)
+
+
+def _require_speech(breakdown: DerBreakdown, ref: Diarization) -> DerBreakdown:
+    if breakdown.total == 0:
+        raise UndefinedMetricError(f"session {ref.session!r} has no reference speech")
+    return breakdown
 
 
 def compute_der(ref: Diarization, hyp: Diarization, speaker_map: SpeakerMap) -> DerBreakdown:
@@ -137,11 +159,20 @@ def compute_der(ref: Diarization, hyp: Diarization, speaker_map: SpeakerMap) -> 
         SPKERR += dur * (min(n_ref, n_hyp) - n_correct)
         TOTAL  += dur * n_ref
     """
-    regions = build_regions(ref, hyp)
-    breakdown = _score_regions(regions, speaker_map.pairs)
-    if breakdown.total == 0:
-        raise UndefinedMetricError(f"session {ref.session!r} has no reference speech")
-    return breakdown
+    totals = _activity_totals(build_regions(ref, hyp))
+    return _require_speech(_breakdown(totals, speaker_map.pairs), ref)
+
+
+def score_der(ref: Diarization, hyp: Diarization) -> tuple[SpeakerMap, DerBreakdown]:
+    """The optimal speaker map and the DER under it, from one region tiling.
+
+    Equal to ``(m, compute_der(ref, hyp, m))`` with ``m =
+    optimal_speaker_map(ref, hyp)``, in the shape brute_force_der returns,
+    but the session is tiled once instead of twice.
+    """
+    totals = _activity_totals(build_regions(ref, hyp))
+    speaker_map = _speaker_map(_overlap(totals, ref, hyp), ref, hyp)
+    return speaker_map, _require_speech(_breakdown(totals, speaker_map.pairs), ref)
 
 
 def brute_force_der(ref: Diarization, hyp: Diarization) -> tuple[SpeakerMap, DerBreakdown]:
@@ -152,7 +183,7 @@ def brute_force_der(ref: Diarization, hyp: Diarization) -> tuple[SpeakerMap, Der
     intended as the oracle route for small sessions, enabled in the CLI via
     --brute-force.
     """
-    regions = build_regions(ref, hyp)
+    totals = _activity_totals(build_regions(ref, hyp))
     refs = sorted(ref.speaker_ids)
     hyps = sorted(hyp.speaker_ids)
     best: tuple[DerBreakdown, tuple[tuple[str, str], ...]] | None = None
@@ -163,25 +194,17 @@ def brute_force_der(ref: Diarization, hyp: Diarization) -> tuple[SpeakerMap, Der
             tuple(zip(combo, hyps)) for combo in permutations(refs, len(hyps))
         )
     for pairs in candidates:
-        breakdown = _score_regions(regions, pairs)
+        breakdown = _breakdown(totals, pairs)
         key = breakdown.fa + breakdown.miss + breakdown.spkerr
         if best is None or key < best[0].fa + best[0].miss + best[0].spkerr:
             best = (breakdown, pairs)
     if best is None:  # both sides empty of speakers
-        best = (_score_regions(regions, ()), ())
+        best = (_breakdown(totals, ()), ())
     breakdown, pairs = best
-    if breakdown.total == 0:
-        raise UndefinedMetricError(f"session {ref.session!r} has no reference speech")
-    overlap = pairwise_overlap(ref, hyp)
-    kept = tuple(sorted((r, h) for r, h in pairs if overlap[(r, h)] > 0))
-    matched_ref = {r for r, _ in kept}
-    matched_hyp = {h for _, h in kept}
-    speaker_map = SpeakerMap(
-        pairs=kept,
-        unmatched_ref=tuple(r for r in refs if r not in matched_ref),
-        unmatched_hyp=tuple(h for h in hyps if h not in matched_hyp),
-    )
-    return speaker_map, breakdown
+    _require_speech(breakdown, ref)
+    overlap = _overlap(totals, ref, hyp)
+    kept = sorted((r, h) for r, h in pairs if overlap[(r, h)] > 0)
+    return _with_unmatched(kept, refs, hyps), breakdown
 
 
 def aggregate_der(parts: Sequence[DerBreakdown]) -> DerBreakdown:

@@ -39,6 +39,16 @@ class TimeInterval(NamedTuple):
         return self.start + self.dur
 
 
+def check_id(what: str, value: str) -> None:
+    """Reject an empty id or one with whitespace, which RTTM cannot carry.
+
+    ``str.split()`` splits on exactly the characters ``str.isspace()``
+    accepts, so an id passes iff it splits into itself alone.
+    """
+    if not value or value.split() != [value]:
+        raise ValidationError(f"{what} must be non-empty without whitespace: {value!r}")
+
+
 @dataclass(frozen=True)
 class SpeakerTurn:
     """One RTTM SPEAKER record."""
@@ -49,10 +59,8 @@ class SpeakerTurn:
     interval: TimeInterval
 
     def __post_init__(self):
-        for name in ("session", "speaker"):
-            value = getattr(self, name)
-            if not value or any(c.isspace() for c in value):
-                raise ValidationError(f"{name} must be non-empty without whitespace: {value!r}")
+        check_id("session", self.session)
+        check_id("speaker", self.speaker)
         if self.interval.start < 0:
             raise ValidationError(f"negative start time: {self.interval.start} ms")
         if self.interval.dur <= 0:

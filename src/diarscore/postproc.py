@@ -128,9 +128,10 @@ def _parse_rows(body: list[str], width: int, first_lineno: int) -> np.ndarray:
 
 
 def emit_matrix(matrix: ProbabilityMatrix) -> str:
+    """Serialize a matrix, each probability as the shortest text that re-parses to it."""
     lines = [" ".join([matrix.session, str(matrix.frame_ms), *matrix.speakers])]
-    for row in matrix.values:
-        lines.append(" ".join(format(v, "g") for v in row))
+    for row in matrix.values.tolist():
+        lines.append(" ".join(map(repr, row)))
     return "".join(line + "\n" for line in lines)
 
 

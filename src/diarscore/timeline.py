@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import SessionMismatchError, ValidationError
-from .formats import SpeakerTurn, TimeInterval
+from .formats import SpeakerTurn, TimeInterval, check_id
 
 __all__ = [
     "Diarization",
@@ -47,13 +47,11 @@ class Diarization:
     """Per-session map of speaker id -> disjoint sorted speech intervals."""
 
     def __init__(self, session: str, speakers: Mapping[str, Iterable[TimeInterval | tuple[int, int]]]):
-        if not session or any(c.isspace() for c in session):
-            raise ValidationError(f"session must be non-empty without whitespace: {session!r}")
+        check_id("session", session)
         self.session = session
         normalized = {}
         for spk in sorted(speakers):
-            if not spk or any(c.isspace() for c in spk):
-                raise ValidationError(f"speaker id must be non-empty without whitespace: {spk!r}")
+            check_id("speaker id", spk)
             intervals = _normalize(speakers[spk])
             if intervals:
                 normalized[spk] = intervals
@@ -130,6 +128,10 @@ def by_session(turns: Iterable[SpeakerTurn]) -> dict[str, Diarization]:
     return {s: Diarization.from_turns(s, ts) for s, ts in sorted(sessions.items())}
 
 
+# total ms of each distinct (ref active set, hyp active set) of a tiling
+_ActivityTotals = dict[tuple[frozenset[str], frozenset[str]], int]
+
+
 class PairedRegion(NamedTuple):
     """A region of constant activity in a (reference, hypothesis) pair."""
 
@@ -145,30 +147,54 @@ def joint_regions(
 
     Boundaries are collected from every interval of every input; each region
     between consecutive boundaries carries one active-speaker set per input.
+
+    Each (input, speaker) pair owns one bit of a joint activity state, and a
+    boundary flips the bits of the intervals that start or end there.  The
+    tuple of active sets is built the first time its state occurs and shared
+    by every later region in that state; an input's frozenset is likewise
+    built once per distinct set of its own active speakers.
     """
     if not diarizations:
         return []
     session = diarizations[0].session
-    starts: dict[int, list[tuple[int, str]]] = {}
-    ends: dict[int, list[tuple[int, str]]] = {}
-    for idx, d in enumerate(diarizations):
+    flips: dict[int, int] = {}
+    names: list[str] = []  # bit k of a state stands for speaker names[k]
+    owned: list[int] = []  # the bits of each input
+    for d in diarizations:
         if d.session != session:
             raise SessionMismatchError(f"{session!r} vs {d.session!r}")
+        bits = 0
         for spk, ivs in d.items():
+            bit = 1 << len(names)
+            names.append(spk)
+            bits |= bit
             for iv in ivs:
-                starts.setdefault(iv.start, []).append((idx, spk))
-                ends.setdefault(iv.end, []).append((idx, spk))
-    times = sorted(set(starts) | set(ends))
-    active: list[set[str]] = [set() for _ in diarizations]
+                flips[iv.start] = flips.get(iv.start, 0) ^ bit
+                flips[iv.end] = flips.get(iv.end, 0) ^ bit
+        owned.append(bits)
+    frozen: dict[int, frozenset[str]] = {}  # one input's bits -> its active set
+    actives: dict[int, tuple[frozenset[str], ...]] = {}  # joint state -> active sets
+
+    def active_sets(state: int) -> tuple[frozenset[str], ...]:
+        sets = []
+        for bits in owned:
+            mine = state & bits
+            if mine not in frozen:
+                frozen[mine] = frozenset(
+                    names[k] for k in range(mine.bit_length()) if mine >> k & 1
+                )
+            sets.append(frozen[mine])
+        return tuple(sets)
+
+    times = sorted(flips)
+    state = 0
     regions = []
-    for pos, t in enumerate(times):
-        for idx, spk in ends.get(t, ()):
-            active[idx].discard(spk)
-        for idx, spk in starts.get(t, ()):
-            active[idx].add(spk)
-        if pos + 1 < len(times):
-            interval = TimeInterval(t, times[pos + 1] - t)
-            regions.append((interval, tuple(frozenset(a) for a in active)))
+    for t, t_next in zip(times, times[1:]):
+        state ^= flips[t]
+        act = actives.get(state)
+        if act is None:
+            act = actives[state] = active_sets(state)
+        regions.append((TimeInterval(t, t_next - t), act))
     return regions
 
 
@@ -183,9 +209,29 @@ def pairwise_overlap(ref: Diarization, hyp: Diarization) -> dict[tuple[str, str]
     Returns a complete matrix as a dict: every pair from the two speaker sets
     is present, zeros included.
     """
+    return _overlap(_activity_totals(build_regions(ref, hyp)), ref, hyp)
+
+
+def _activity_totals(regions: Iterable[PairedRegion]) -> _ActivityTotals:
+    """Total ms of each distinct (ref active set, hyp active set) of a tiling.
+
+    Every per-region sum over a tiling (overlap, DER components) is linear
+    in the duration, so it can be taken over these totals instead, exactly.
+    """
+    totals: _ActivityTotals = {}
+    for interval, ref_active, hyp_active in regions:
+        key = (ref_active, hyp_active)
+        totals[key] = totals.get(key, 0) + interval.dur
+    return totals
+
+
+def _overlap(
+    totals: _ActivityTotals, ref: Diarization, hyp: Diarization
+) -> dict[tuple[str, str], int]:
+    """The pairwise_overlap matrix, from the activity totals of its tiling."""
     overlap = {(r, h): 0 for r in ref.speaker_ids for h in hyp.speaker_ids}
-    for region in build_regions(ref, hyp):
-        for r in region.ref_active:
-            for h in region.hyp_active:
-                overlap[(r, h)] += region.interval.dur
+    for (ref_active, hyp_active), dur in totals.items():
+        for r in ref_active:
+            for h in hyp_active:
+                overlap[(r, h)] += dur
     return overlap

@@ -2,6 +2,7 @@ from fractions import Fraction
 from itertools import permutations
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from diarscore.der import (
     DerBreakdown,
@@ -10,6 +11,7 @@ from diarscore.der import (
     brute_force_der,
     compute_der,
     optimal_speaker_map,
+    score_der,
 )
 from diarscore.errors import UndefinedMetricError, ValidationError
 from diarscore.synth import generate_session
@@ -143,3 +145,41 @@ def test_equal_overlaps_pair_speakers_in_id_order():
 def test_speaker_map_injectivity_enforced():
     with pytest.raises(ValidationError):
         SpeakerMap(pairs=(("A", "X"), ("A", "Y")), unmatched_ref=(), unmatched_hyp=())
+
+
+intervals_st = st.lists(
+    st.tuples(st.integers(0, 40), st.integers(1, 15)).map(lambda t: (t[0] * 100, t[1] * 100)),
+    max_size=4,
+)
+diar_st = st.builds(
+    lambda m: Diarization("S1", m),
+    st.dictionaries(st.sampled_from(["A", "B", "C", "D"]), intervals_st, max_size=4),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(diar_st, diar_st)
+def test_score_der_equals_map_then_compute(ref, hyp):
+    smap = optimal_speaker_map(ref, hyp)
+    try:
+        expected = (smap, compute_der(ref, hyp, smap))
+    except UndefinedMetricError:
+        with pytest.raises(UndefinedMetricError):
+            score_der(ref, hyp)
+        return
+    assert score_der(ref, hyp) == expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(diar_st, diar_st)
+def test_score_der_rate_equals_brute_force(ref, hyp):
+    assume(ref.total_speech())
+    assert score_der(ref, hyp)[1].der == brute_force_der(ref, hyp)[1].der
+
+
+def test_score_der_requires_reference_speech():
+    hyp = Diarization("S1", {"X": [(0, S)]})
+    with pytest.raises(UndefinedMetricError, match="'S1' has no reference speech"):
+        score_der(Diarization("S1", {}), hyp)
+    with pytest.raises(UndefinedMetricError):
+        score_der(Diarization("S1", {}), Diarization("S1", {}))

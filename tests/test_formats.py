@@ -7,6 +7,7 @@ from diarscore.errors import ParseError, ValidationError
 from diarscore.formats import (
     SpeakerTurn,
     TimeInterval,
+    check_id,
     emit_rttm,
     emit_transcript,
     ms_to_seconds,
@@ -19,6 +20,35 @@ from diarscore.synth import random_turn_list
 from diarscore.timeline import Diarization, by_session
 
 EXAMPLE_LINE = "SPEAKER S001 1 10.50 3.25 <NA> <NA> SPK01 <NA> <NA>"
+
+
+BAD_IDS = ["", " ", "a b", "a\u3000b", "a\x1cb", "\u2028"]
+
+
+@pytest.mark.parametrize("bad", BAD_IDS)
+def test_turn_rejects_empty_or_whitespace_ids(bad):
+    with pytest.raises(ValidationError) as exc:
+        SpeakerTurn(bad, "1", "A", TimeInterval(0, 10))
+    assert str(exc.value) == f"session must be non-empty without whitespace: {bad!r}"
+    with pytest.raises(ValidationError) as exc:
+        SpeakerTurn("S1", "1", bad, TimeInterval(0, 10))
+    assert str(exc.value) == f"speaker must be non-empty without whitespace: {bad!r}"
+
+
+def test_turn_accepts_non_ascii_ids():
+    turn = SpeakerTurn("会议1", "1", "说话人1", TimeInterval(0, 10))
+    assert (turn.session, turn.speaker) == ("会议1", "说话人1")
+
+
+def test_id_check_rejects_exactly_the_isspace_characters():
+    for code in range(0x110000):
+        c = chr(code)
+        try:
+            check_id("id", c)
+        except ValidationError:
+            assert c.isspace(), hex(code)
+        else:
+            assert not c.isspace(), hex(code)
 
 
 def test_parse_example_line():

@@ -3,6 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from diarscore import postproc
 from diarscore.cpcer import concat_by_speaker
@@ -138,6 +139,28 @@ def test_matrix_file_round_trip():
     assert parsed.frame_ms == m.frame_ms
     assert parsed.speakers == m.speakers
     assert np.array_equal(parsed.values, m.values)
+
+
+def test_matrix_round_trip_keeps_binarize_output():
+    # 6 significant digits wrote 0.4999999 as 0.5, which crosses the threshold
+    m = matrix([[0.4999999], [0.9]])
+    assert binarize_probs(m).intervals("A") == (TimeInterval(10, 10),)
+    reparsed = parse_matrix(io.StringIO(emit_matrix(m)))
+    assert binarize_probs(reparsed).intervals("A") == (TimeInterval(10, 10),)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 3).flatmap(
+        lambda k: st.lists(
+            st.lists(st.floats(0, 1), min_size=k, max_size=k), min_size=1, max_size=5
+        )
+    )
+)
+def test_matrix_emit_parse_is_identity(rows):
+    m = matrix(rows, speakers=[f"S{k}" for k in range(len(rows[0]))])
+    parsed = parse_matrix(io.StringIO(emit_matrix(m)))
+    assert parsed.values.tobytes() == m.values.tobytes()
 
 
 def test_matrix_file_errors():

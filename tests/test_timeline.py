@@ -3,7 +3,13 @@ from hypothesis import given, settings, strategies as st
 
 from diarscore.errors import SessionMismatchError, ValidationError
 from diarscore.formats import SpeakerTurn, TimeInterval
-from diarscore.timeline import Diarization, build_regions, by_session, pairwise_overlap
+from diarscore.timeline import (
+    Diarization,
+    build_regions,
+    by_session,
+    joint_regions,
+    pairwise_overlap,
+)
 
 S = 1000  # ms per second
 
@@ -22,6 +28,20 @@ def test_normalization_rejects_bad_intervals():
         d("S1", A=[(0, 0)])
     with pytest.raises(ValidationError):
         d("S1", A=[(-5, 10)])
+
+
+@pytest.mark.parametrize("bad", ["", " ", "a b", "a\u3000b", "a\x1cb", "\u2028"])
+def test_diarization_rejects_empty_or_whitespace_ids(bad):
+    with pytest.raises(ValidationError) as exc:
+        Diarization(bad, {})
+    assert str(exc.value) == f"session must be non-empty without whitespace: {bad!r}"
+    with pytest.raises(ValidationError) as exc:
+        Diarization("S1", {bad: [(0, S)]})
+    assert str(exc.value) == f"speaker id must be non-empty without whitespace: {bad!r}"
+
+
+def test_diarization_accepts_non_ascii_ids():
+    assert Diarization("会议1", {"说话人1": [(0, S)]}).speaker_ids == ("说话人1",)
 
 
 def test_regions_example():
@@ -113,6 +133,41 @@ def test_overlap_row_sum_bounded_for_non_overlapping_hyp(a, ivs):
     for r in a.speaker_ids:
         row = sum(v for (rr, _), v in overlap.items() if rr == r)
         assert row <= sum(iv.dur for iv in a.intervals(r))
+
+
+def per_ms_regions(diarizations):
+    """Maximal runs of the per-millisecond tuple of active sets, over the span."""
+    ivs = [iv for d in diarizations for _, spk_ivs in d.items() for iv in spk_ivs]
+    if not ivs:
+        return []
+    runs = []
+    for ms in range(min(iv.start for iv in ivs), max(iv.end for iv in ivs)):
+        act = tuple(
+            frozenset(spk for spk, ivs in d.items() if any(iv.start <= ms < iv.end for iv in ivs))
+            for d in diarizations
+        )
+        if runs and runs[-1][2] == act:
+            runs[-1][1] += 1
+        else:
+            runs.append([ms, 1, act])
+    return [(TimeInterval(start, dur), act) for start, dur, act in runs]
+
+
+small_intervals_st = st.lists(
+    st.tuples(st.integers(0, 60), st.integers(1, 20)), min_size=0, max_size=5
+)
+small_diar_st = st.builds(
+    lambda m: Diarization("S1", m),
+    st.dictionaries(st.sampled_from(["A", "B", "C"]), small_intervals_st, max_size=3),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(small_diar_st, min_size=1, max_size=3))
+def test_joint_regions_match_per_ms_oracle(diarizations):
+    # inputs share speaker ids, so a set reused from another input or an
+    # earlier state shows up as a wrong region
+    assert joint_regions(diarizations) == per_ms_regions(diarizations)
 
 
 def test_by_session_groups_turns():
