@@ -12,16 +12,22 @@ from __future__ import annotations
 import argparse
 import logging
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Sequence
 
 from . import __version__
 from .cpcer import aggregate_counts, attach_order_from_rttm, compute_cpcer, concat_by_speaker
 from .der import aggregate_der, brute_force_der, score_der
 from .errors import DiarscoreError, ValidationError
-from .formats import TranscriptEntry, emit_rttm, emit_transcript, parse_rttm, parse_transcript
+from .formats import (
+    TranscriptEntry,
+    _rttm_rows,
+    emit_rttm,
+    emit_transcript,
+    parse_rttm,
+    parse_transcript,
+)
 from .fusion import fuse_channels
 from .postproc import (
     assemble_transcript,
@@ -36,7 +42,7 @@ from .postproc import (
 )
 from .reporting import percent, render_aligned, render_tsv
 from .synth import corrupt_diarization, corrupt_text, generate_session, write_ledger
-from .timeline import by_session
+from .timeline import Diarization, sessions_from_rows
 
 logger = logging.getLogger("diarscore")
 
@@ -46,19 +52,22 @@ def _read_lines(path: str) -> list[str]:
         return fh.readlines()
 
 
+def _read_sessions(paths: Sequence[str]) -> dict[str, Diarization]:
+    """Stream the RTTM rows of each file in turn, one open file at a time, into sessions."""
+
+    def rows():
+        for path in paths:
+            with open(path, "r", encoding="utf-8") as fh:
+                yield from _rttm_rows(fh)
+
+    return sessions_from_rows(rows())
+
+
 def _write_output(text: str, path: str | None) -> None:
     if path is None:
         sys.stdout.write(text)
     else:
         Path(path).write_text(text, encoding="utf-8")
-
-
-def _map_sessions(fn: Callable, sessions: Sequence[str], jobs: int) -> list:
-    """Apply fn to each session, optionally in parallel, in deterministic order."""
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(fn, sessions))
-    return [fn(s) for s in sessions]
 
 
 def _report_common_sessions(ref_keys, hyp_keys) -> list[str]:
@@ -73,18 +82,11 @@ def _report_common_sessions(ref_keys, hyp_keys) -> list[str]:
 
 
 def _cmd_score_der(args) -> int:
-    ref_turns = [t for path in args.ref for t in parse_rttm(_read_lines(path))]
-    hyp_turns = [t for path in args.hyp for t in parse_rttm(_read_lines(path))]
-    refs = by_session(ref_turns)
-    hyps = by_session(hyp_turns)
+    refs = _read_sessions(args.ref)
+    hyps = _read_sessions(args.hyp)
     common = _report_common_sessions(refs, hyps)
-
     scorer = brute_force_der if args.brute_force else score_der
-
-    def score(session: str):
-        return scorer(refs[session], hyps[session])[1]
-
-    breakdowns = _map_sessions(score, common, args.jobs)
+    breakdowns = [scorer(refs[s], hyps[s])[1] for s in common]
     overall = aggregate_der(breakdowns)
     headers = ["Session", "FA", "MISS", "SPKERR", "DER"]
     rows = [
@@ -103,7 +105,7 @@ def _cmd_score_der(args) -> int:
     header_lines = (
         f"# diarscore {__version__} score-der\n"
         f"# collar: none (overlapping speech scored)\n"
-        f"# mapping: {'brute-force' if args.brute_force else 'assignment'}  jobs: {args.jobs}\n"
+        f"# mapping: {'brute-force' if args.brute_force else 'assignment'}\n"
     )
     sys.stdout.write(header_lines + render_aligned(headers, rows))
     if args.tsv:
@@ -122,7 +124,10 @@ def _cmd_score_cpcer(args) -> int:
     ref_entries = parse_transcript(_read_lines(args.ref_trn))
     hyp_entries = parse_transcript(_read_lines(args.hyp_trn))
     if args.ref_rttm:
-        turns = [t for path in args.ref_rttm for t in parse_rttm(_read_lines(path))]
+        turns = []
+        for path in args.ref_rttm:
+            with open(path, "r", encoding="utf-8") as fh:
+                turns += parse_rttm(fh)
         ref_entries = attach_order_from_rttm(ref_entries, turns)
     refs = _group_entries(ref_entries)
     hyps = _group_entries(hyp_entries)
@@ -135,7 +140,7 @@ def _cmd_score_cpcer(args) -> int:
         hyp_st = concat_by_speaker(hyps[session], session=session, strip_punctuation=strip)
         return compute_cpcer(ref_st, hyp_st, mode=mode)
 
-    results = _map_sessions(score, common, args.jobs)
+    results = [score(s) for s in common]
     overall = aggregate_counts([r.counts for r in results])
     headers = ["Session", "S", "D", "I", "cpCER"]
 
@@ -154,7 +159,7 @@ def _cmd_score_cpcer(args) -> int:
     header_lines = (
         f"# diarscore {__version__} score-cpcer\n"
         f"# punctuation: {'kept' if args.keep_punctuation else 'stripped'}\n"
-        f"# assignment: {mode}  jobs: {args.jobs}\n"
+        f"# assignment: {mode}\n"
     )
     sys.stdout.write(header_lines + render_aligned(headers, rows))
     if args.tsv:
@@ -166,7 +171,7 @@ def _cmd_fuse(args) -> int:
     inputs = []
     session = None
     for path in args.rttm:
-        sessions = by_session(parse_rttm(_read_lines(path)))
+        sessions = _read_sessions([path])
         if len(sessions) != 1:
             raise ValidationError(f"{path}: expected exactly one session, got {len(sessions)}")
         ((s, d),) = sessions.items()
@@ -193,8 +198,7 @@ def _cmd_binarize(args) -> int:
 
 
 def _cmd_manifest(args) -> int:
-    turns = [t for path in args.rttm for t in parse_rttm(_read_lines(path))]
-    manifests = [build_manifest(d) for d in by_session(turns).values()]
+    manifests = [build_manifest(d) for d in _read_sessions(args.rttm).values()]
     _write_output(emit_manifest(combine_manifests(manifests)), args.output)
     return 0
 
@@ -258,7 +262,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ref", nargs="+", required=True, help="reference RTTM path(s)")
     p.add_argument("--hyp", nargs="+", required=True, help="hypothesis RTTM path(s)")
     p.add_argument("--brute-force", action="store_true", help="exhaustive speaker-map oracle")
-    p.add_argument("--jobs", type=int, default=1, help="sessions scored in parallel")
     p.add_argument("--tsv", help="also write the table as TSV to this path")
     p.set_defaults(func=_cmd_score_der)
 
@@ -272,7 +275,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--hyp-trn", required=True, help="hypothesis transcript path")
     p.add_argument("--keep-punctuation", action="store_true", help="do not strip punctuation")
     p.add_argument("--brute-force", action="store_true", help="enumerate speaker permutations")
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--tsv", help="also write the table as TSV to this path")
     p.set_defaults(func=_cmd_score_cpcer)
 

@@ -9,6 +9,11 @@ integer milliseconds; parsing is exact decimal (no binary floating point
 touches the data path).  Emission writes 2 decimals for times on the 10 ms
 grid and 3 for any other time, so emitted files re-parse exactly.
 
+RTTM is read as a stream: one pass over the lines of an open file yields
+validated ``(session, channel, speaker, start_ms, dur_ms)`` rows, and no
+list of lines is kept.  ``parse_rttm`` wraps those rows in SpeakerTurns;
+``timeline.sessions_from_rows`` groups them straight into Diarizations.
+
 Transcript lines are ``<speakerID>_<sessionID><whitespace><text>``, UTF-8,
 one utterance per line.  The speaker/session split is at the *last*
 underscore, so speaker IDs may themselves contain underscores.
@@ -19,13 +24,16 @@ from __future__ import annotations
 import logging
 import re
 from dataclasses import dataclass
-from typing import IO, Iterable, NamedTuple
+from typing import IO, Iterable, Iterator, NamedTuple
 
 from .errors import ParseError, ValidationError
 
 logger = logging.getLogger(__name__)
 
 _TIME_RE = re.compile(r"^(-?)(\d+)(?:\.(\d{1,3}))?$")
+
+# (session, channel, speaker, start_ms, dur_ms) of one SPEAKER record
+RttmRow = tuple[str, str, str, int, int]
 
 
 class TimeInterval(NamedTuple):
@@ -88,6 +96,11 @@ def seconds_to_ms(text: str) -> int:
     scientific notation) is a ParseError.  Negative values parse but are
     rejected as a ValidationError so callers can report them distinctly.
     """
+    whole, dot, frac = text.partition(".")
+    if len(frac) <= 3 and text.isascii() and whole.isdigit() and (frac.isdigit() or not dot):
+        # plain ASCII digits[.d{1,3}], the common case; everything else
+        # (signs, non-ASCII digits, a trailing newline, errors) takes the regex
+        return int(whole) * 1000 + int(frac.ljust(3, "0"))
     m = _TIME_RE.match(text)
     if m is None:
         raise ParseError(f"not a decimal time with at most 3 fractional digits: {text!r}")
@@ -118,40 +131,54 @@ def split_utterance_id(uid: str) -> tuple[str, str]:
     return speaker, session
 
 
-def parse_rttm(stream: IO[str] | Iterable[str]) -> list[SpeakerTurn]:
-    """Parse RTTM text into SpeakerTurns, preserving file order.
+def _rttm_rows(stream: IO[str] | Iterable[str]) -> Iterator[RttmRow]:
+    """Yield the validated row of each SPEAKER record, in file order.
 
     Only SPEAKER records are kept; other record types are skipped with a
     warning, and ``;``-comments are ignored.  Lines with fewer than 9
     fields, non-numeric times, or non-positive durations raise with the
-    offending line number.
+    offending line number.  The id checks run once per distinct
+    (session, speaker) pair.
     """
-    turns = []
+    checked: set[tuple[str, str]] = set()
     for lineno, raw in enumerate(stream, 1):
-        line = raw.strip()
-        if not line or line.startswith(";"):
+        fields = raw.split()
+        if not fields or fields[0].startswith(";"):
             continue
-        fields = line.split()
         if fields[0] != "SPEAKER":
             logger.warning("line %d: skipping record type %r", lineno, fields[0])
             continue
         if len(fields) < 9:
             raise ParseError(f"expected at least 9 fields, got {len(fields)}", line=lineno)
+        session, speaker = fields[1], fields[7]
         try:
             start = seconds_to_ms(fields[3])
             dur = seconds_to_ms(fields[4])
-            turn = SpeakerTurn(
-                session=fields[1],
-                channel=fields[2],
-                speaker=fields[7],
-                interval=TimeInterval(start, dur),
-            )
+            if (session, speaker) not in checked:
+                check_id("session", session)
+                check_id("speaker", speaker)
+                checked.add((session, speaker))
+            if dur <= 0:
+                # start is never negative: seconds_to_ms rejects negative times
+                raise ValidationError(f"non-positive duration: {dur} ms")
         except ParseError as exc:
             raise ParseError(str(exc), line=lineno) from None
         except ValidationError as exc:
             raise ValidationError(f"line {lineno}: {exc}") from None
-        turns.append(turn)
-    return turns
+        yield session, fields[2], speaker, start, dur
+
+
+def parse_rttm(stream: IO[str] | Iterable[str]) -> list[SpeakerTurn]:
+    """Parse RTTM text into SpeakerTurns, preserving file order.
+
+    The records and errors are those of the streaming row reader: other
+    record types are skipped with a warning, ``;``-comments are ignored,
+    and malformed lines raise with their line number.
+    """
+    return [
+        SpeakerTurn(session, channel, speaker, TimeInterval(start, dur))
+        for session, channel, speaker, start, dur in _rttm_rows(stream)
+    ]
 
 
 def emit_rttm(turns: Iterable[SpeakerTurn]) -> str:

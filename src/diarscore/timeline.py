@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import SessionMismatchError, ValidationError
-from .formats import SpeakerTurn, TimeInterval, check_id
+from .formats import RttmRow, SpeakerTurn, TimeInterval, check_id
 
 __all__ = [
     "Diarization",
@@ -21,6 +21,7 @@ __all__ = [
     "build_regions",
     "joint_regions",
     "pairwise_overlap",
+    "sessions_from_rows",
 ]
 
 
@@ -33,13 +34,16 @@ def _normalize(intervals: Iterable[TimeInterval | tuple[int, int]]) -> tuple[Tim
             raise ValidationError(f"non-positive interval duration: {iv}")
     parsed.sort()
     merged: list[TimeInterval] = []
+    end = -1  # end of the last merged interval; starts are never negative
     for iv in parsed:
-        # merge overlapping or touching intervals of the same speaker
-        if merged and iv.start <= merged[-1].end:
-            last = merged[-1]
-            merged[-1] = TimeInterval(last.start, max(last.end, iv.end) - last.start)
-        else:
-            merged.append(iv)
+        start, dur = iv
+        if start > end:
+            merged.append(iv)  # an interval that merges with nothing is kept as is
+            end = start + dur
+        elif start + dur > end:
+            # merge overlapping or touching intervals of the same speaker
+            end = start + dur
+            merged[-1] = TimeInterval(merged[-1].start, end - merged[-1].start)
     return tuple(merged)
 
 
@@ -56,15 +60,6 @@ class Diarization:
             if intervals:
                 normalized[spk] = intervals
         self._speakers = normalized
-
-    @classmethod
-    def from_turns(cls, session: str, turns: Iterable[SpeakerTurn]) -> "Diarization":
-        grouped: dict[str, list[TimeInterval]] = {}
-        for t in turns:
-            if t.session != session:
-                raise SessionMismatchError(f"turn for session {t.session!r}, expected {session!r}")
-            grouped.setdefault(t.speaker, []).append(t.interval)
-        return cls(session, grouped)
 
     @property
     def speaker_ids(self) -> tuple[str, ...]:
@@ -120,12 +115,31 @@ class Diarization:
         return f"Diarization({self.session!r}, {len(self._speakers)} speakers)"
 
 
+def _group(items: Iterable[tuple[str, str, TimeInterval]]) -> dict[str, Diarization]:
+    """One Diarization per session, in session order, from (session, speaker, interval)."""
+    sessions: dict[str, dict[str, list[TimeInterval]]] = {}
+    for session, speaker, interval in items:
+        speakers = sessions.get(session)
+        if speakers is None:
+            speakers = sessions[session] = {}
+        intervals = speakers.get(speaker)
+        if intervals is None:
+            intervals = speakers[speaker] = []
+        intervals.append(interval)
+    return {s: Diarization(s, speakers) for s, speakers in sorted(sessions.items())}
+
+
+def sessions_from_rows(rows: Iterable[RttmRow]) -> dict[str, Diarization]:
+    """Group (session, channel, speaker, start_ms, dur_ms) rows into one
+    Diarization per session, in session order; channels are not kept."""
+    return _group(
+        (session, speaker, TimeInterval(start, dur)) for session, _, speaker, start, dur in rows
+    )
+
+
 def by_session(turns: Iterable[SpeakerTurn]) -> dict[str, Diarization]:
     """Group turns into one Diarization per session."""
-    sessions: dict[str, list[SpeakerTurn]] = {}
-    for t in turns:
-        sessions.setdefault(t.session, []).append(t)
-    return {s: Diarization.from_turns(s, ts) for s, ts in sorted(sessions.items())}
+    return _group((t.session, t.speaker, t.interval) for t in turns)
 
 
 # total ms of each distinct (ref active set, hyp active set) of a tiling

@@ -283,17 +283,85 @@ def test_overall_row_is_duration_weighted(capsys, tmp_path):
     assert overall[4] == expected
 
 
-def test_jobs_flag_gives_identical_output(capsys, tmp_path):
-    paths = []
-    for seed in (1, 2, 3):
-        sess = generate_session(speakers=2, duration_ms=20_000, seed=seed, session=f"S{seed:04d}")
-        p = tmp_path / f"s{seed}.rttm"
-        p.write_text(emit_rttm(sess.diarization.to_turns()), encoding="utf-8")
-        paths.append(p)
-    _, seq, _ = run(capsys, "score-der", "--ref", *paths, "--hyp", *paths)
-    _, par, _ = run(capsys, "score-der", "--ref", *paths, "--hyp", *paths, "--jobs", 3)
-    strip = lambda text: [ln for ln in text.splitlines() if not ln.startswith("#")]
-    assert strip(seq) == strip(par)
+def test_jobs_flag_is_a_usage_error(capsys, session_files):
+    # sessions are scored in one thread: a thread pool over pure Python only
+    # added start-up cost, so the flag is gone
+    _, ref, trn = session_files
+    for argv in (
+        ["score-der", "--ref", ref, "--hyp", ref],
+        ["score-cpcer", "--ref-trn", trn, "--hyp-trn", trn],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main([str(a) for a in (*argv, "--jobs", 2)])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
+
+
+GOOD_LINE = "SPEAKER S1 1 0.00 1.00 <NA> <NA> A <NA> <NA>\n"
+# (second line of a file, the whole stderr of the run that reads it)
+BAD_RTTM = [
+    (
+        "SPEAKER S1 1 1.00 1.00 <NA> <NA> A\n",
+        "error: line 2: expected at least 9 fields, got 8\n",
+    ),
+    (
+        "SPEAKER S1 1 1e3 1.00 <NA> <NA> A <NA> <NA>\n",
+        "error: line 2: not a decimal time with at most 3 fractional digits: '1e3'\n",
+    ),
+    (
+        "SPEAKER S1 1 1.0005 1.00 <NA> <NA> A <NA> <NA>\n",
+        "error: line 2: not a decimal time with at most 3 fractional digits: '1.0005'\n",
+    ),
+    (
+        "SPEAKER S1 1 -1.00 1.00 <NA> <NA> A <NA> <NA>\n",
+        "error: line 2: negative time: '-1.00'\n",
+    ),
+    (
+        "SPEAKER S1 1 1.00 0.000 <NA> <NA> A <NA> <NA>\n",
+        "error: line 2: non-positive duration: 0 ms\n",
+    ),
+    (
+        "SPEAKER S1 1 \uff11.00 \u0661.5 <NA> <NA> A <NA> <NA>\n",
+        None,  # non-ASCII decimal digits parse, as they always have
+    ),
+]
+
+
+def _rttm_commands(good, bad):
+    """Each RTTM-reading command with the bad file second among its inputs."""
+    return [
+        ["score-der", "--ref", good, bad, "--hyp", good],
+        ["score-der", "--ref", good, "--hyp", good, bad],
+        ["fuse", good, bad],
+        ["manifest", good, bad],
+    ]
+
+
+@pytest.mark.parametrize("bad_line,stderr", BAD_RTTM)
+def test_rttm_errors_from_every_command(capsys, tmp_path, bad_line, stderr):
+    good = tmp_path / "good.rttm"
+    good.write_text(GOOD_LINE, encoding="utf-8")
+    bad = tmp_path / "bad.rttm"
+    bad.write_text(GOOD_LINE + bad_line, encoding="utf-8")
+    for argv in _rttm_commands(good, bad):
+        code, _, err = run(capsys, *argv)
+        if stderr is None:
+            assert (code, err) == (0, ""), argv
+        else:
+            assert (code, err) == (1, stderr), argv
+
+
+def test_invalid_utf8_rttm_from_every_command(capsys, tmp_path):
+    good = tmp_path / "good.rttm"
+    good.write_text(GOOD_LINE, encoding="utf-8")
+    bad = tmp_path / "bad.rttm"
+    bad.write_bytes(GOOD_LINE.encode() + b"SPEAKER S1 1 \xff 1.00 <NA> <NA> A <NA> <NA>\n")
+    expected = (
+        "error: input is not valid UTF-8: 'utf-8' codec can't decode byte 0xff"
+        " in position 58: invalid start byte\n"
+    )
+    for argv in _rttm_commands(good, bad):
+        assert run(capsys, *argv)[::2] == (1, expected), argv
 
 
 def test_cli_import_does_not_load_scipy():

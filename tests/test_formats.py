@@ -1,8 +1,12 @@
 import io
+import itertools
+import random
+import sys
 
 import pytest
 from hypothesis import given, strategies as st
 
+from diarscore import formats
 from diarscore.errors import ParseError, ValidationError
 from diarscore.formats import (
     SpeakerTurn,
@@ -17,7 +21,7 @@ from diarscore.formats import (
     split_utterance_id,
 )
 from diarscore.synth import random_turn_list
-from diarscore.timeline import Diarization, by_session
+from diarscore.timeline import Diarization, by_session, sessions_from_rows
 
 EXAMPLE_LINE = "SPEAKER S001 1 10.50 3.25 <NA> <NA> SPK01 <NA> <NA>"
 
@@ -173,6 +177,125 @@ def test_seconds_to_ms_exact():
     assert seconds_to_ms("3.25") == 3250
     assert seconds_to_ms("7") == 7000
     assert seconds_to_ms("0.001") == 1
+
+
+def regex_seconds_to_ms(text):
+    """The regex-only time parser that the fast path must agree with."""
+    m = formats._TIME_RE.match(text)
+    if m is None:
+        raise ParseError(f"not a decimal time with at most 3 fractional digits: {text!r}")
+    sign, whole, frac = m.groups()
+    ms = int(whole) * 1000 + int((frac or "").ljust(3, "0") or "0")
+    if sign and ms != 0:
+        raise ValidationError(f"negative time: {text!r}")
+    return ms
+
+
+def outcome(fn, text):
+    try:
+        return fn(text)
+    except ValueError as exc:  # ParseError, ValidationError and int()'s own
+        return type(exc), str(exc)
+
+
+def random_time_text(rng):
+    if rng.random() < 0.5:  # near-misses of digits[.d{1,3}]
+        digits = "0123456789" * 4 + "\u0661\uff11\u00b2"
+        text = rng.choice(["", "", "", "-", "+", "-0", "0"])
+        text += "".join(rng.choice(digits) for _ in range(rng.randint(0, 4)))
+        if rng.random() < 0.7:
+            text += "." + "".join(rng.choice(digits) for _ in range(rng.randint(0, 5)))
+        return text + rng.choice(["", "", "", "\n", " ", "\n\n", "\r"])
+    alphabet = "0123456789.-+e \n\u0661\uff11\u00b2\u066b"
+    return "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 8)))
+
+
+def test_time_fast_path_agrees_with_regex():
+    rng = random.Random(20221)
+    # int() refuses over-long digit strings (since 3.10.7), whichever path calls it
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    expected = {True, ParseError, ValidationError} | ({ValueError} if limit else set())
+    limit = limit or 4300
+    fixed = [
+        "0", "-0", "-0.000", "-0.001", "1.", ".5", "1.5", "1.50", "1.500", "1.5000",
+        "007.010", "1.5\n", "7\n", "\u0661", "\uff11.5", "\u00b2", "1.\u0661", "",
+        "9" * limit, "9" * (limit + 1), "9" * (limit + 1) + ".5", "9" * (limit - 1) + ".123",
+    ]
+    texts = fixed + [random_time_text(rng) for _ in range(20_000)]
+    kinds = set()
+    for text in texts:
+        got, want = outcome(seconds_to_ms, text), outcome(regex_seconds_to_ms, text)
+        assert got == want, text
+        kinds.add(type(got) is int or got[0])
+    # every outcome occurs: a value, a parse error, a negative time, int()'s limit
+    assert kinds == expected
+
+
+def messy_rttm_files(rng, n_files):
+    """RTTM texts that share sessions and speakers, with the extras a reader skips."""
+    files = []
+    for _ in range(n_files):
+        lines = []
+        for _ in range(rng.randint(0, 40)):
+            kind = rng.random()
+            if kind < 0.05:
+                lines.append(rng.choice(["", "   ", "; comment", ";;x y"]))
+            elif kind < 0.1:
+                lines.append("SPKR-INFO S001 1 <NA> <NA> <NA> unknown SPK01 <NA> <NA>")
+            else:
+                start, dur = rng.randrange(0, 60_000), rng.randrange(1, 5_000)
+                times = [f"{ms // 1000}.{ms % 1000:03d}" for ms in (start, dur)]
+                times = [t.rstrip("0").rstrip(".") if rng.random() < 0.3 else t for t in times]
+                fields = [
+                    "SPEAKER",
+                    f"S{rng.randint(1, 3):03d}",
+                    rng.choice(["1", "ch2"]),
+                    *times,
+                    "<NA>",
+                    "<NA>",
+                    f"SPK{rng.randint(1, 4)}",
+                    "<NA>",
+                ] + ["<NA>"] * rng.randint(0, 2)
+                lines.append(rng.choice([" ", "\t", "  "]).join(fields))
+        files.append("".join(line + rng.choice(["\n", "\r\n"]) for line in lines))
+    return files
+
+
+def test_row_reader_and_grouping_agree_with_turns():
+    rng = random.Random(5)
+    for _ in range(200):
+        files = messy_rttm_files(rng, rng.randint(1, 3))
+        turns = [t for text in files for t in parse_rttm(io.StringIO(text))]
+        rows = [row for text in files for row in formats._rttm_rows(io.StringIO(text))]
+        assert rows == [(t.session, t.channel, t.speaker, *t.interval) for t in turns]
+        assert sessions_from_rows(iter(rows)) == by_session(turns)
+
+
+def test_row_reader_raises_like_parse_rttm():
+    rng = random.Random(6)
+    bad = [
+        "SPEAKER S001 1 1.00 1.00 <NA> <NA>",
+        "SPEAKER S001 1 1.0001 1.00 <NA> <NA> A <NA>",
+        "SPEAKER S001 1 1.00 -2 <NA> <NA> A <NA>",
+        "SPEAKER S001 1 1.00 0 <NA> <NA> A <NA>",
+    ]
+    for _ in range(100):
+        (text,) = messy_rttm_files(rng, 1)
+        lines = text.splitlines(keepends=True)
+        lines.insert(rng.randint(0, len(lines)), rng.choice(bad) + "\n")
+        with pytest.raises((ParseError, ValidationError)) as from_turns:
+            parse_rttm(lines)
+        with pytest.raises(type(from_turns.value)) as from_rows:
+            list(formats._rttm_rows(lines))
+        assert str(from_rows.value) == str(from_turns.value)
+        assert getattr(from_rows.value, "line", None) == getattr(from_turns.value, "line", None)
+
+
+def test_row_reader_reads_an_open_file_lazily():
+    stream = io.StringIO("SPEAKER S1 1 0.00 1.00 <NA> <NA> A <NA>\nnot read yet\n")
+    rows = formats._rttm_rows(stream)
+    assert next(rows) == ("S1", "1", "A", 0, 1000)
+    assert stream.readline() == "not read yet\n"  # only the first line was consumed
 
 
 def test_parse_transcript_example():

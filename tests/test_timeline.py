@@ -30,6 +30,20 @@ def test_normalization_rejects_bad_intervals():
         d("S1", A=[(-5, 10)])
 
 
+@given(st.lists(st.tuples(st.integers(0, 80), st.integers(1, 25)), max_size=8))
+def test_normalization_is_the_runs_of_covered_milliseconds(ivs):
+    covered = sorted({ms for start, dur in ivs for ms in range(start, start + dur)})
+    runs = []
+    for ms in covered:
+        if runs and runs[-1][1] == ms:
+            runs[-1][1] += 1
+        else:
+            runs.append([ms, ms + 1])
+    got = d("S1", A=ivs).intervals("A") if ivs else ()
+    assert got == tuple(TimeInterval(lo, hi - lo) for lo, hi in runs)
+    assert all(type(iv) is TimeInterval for iv in got)
+
+
 @pytest.mark.parametrize("bad", ["", " ", "a b", "a\u3000b", "a\x1cb", "\u2028"])
 def test_diarization_rejects_empty_or_whitespace_ids(bad):
     with pytest.raises(ValidationError) as exc:
