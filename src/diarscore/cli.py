@@ -1,10 +1,12 @@
 """Command-line interface.
 
 Subcommands: score-der, score-cpcer, fuse, binarize, manifest, assemble,
-synth.  Reports echo the active tunables in header lines, print aligned
-text to stdout, and can mirror the same numbers to a TSV.  Exit codes:
-0 success, 1 validation error, 2 I/O error (argparse usage errors also
-exit 2).
+synth.  The two scoring commands share one report path: pair the
+reference and hypothesis sessions, score each common one, pool them into
+an OVERALL row, echo the active tunables in header lines, print aligned
+text to stdout, and mirror the same rows to a TSV.  Every input is parsed
+straight from its open file.  Exit codes: 0 success, 1 validation error,
+2 I/O error (argparse usage errors also exit 2).
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import logging
 import sys
 from fractions import Fraction
 from pathlib import Path
-from typing import Sequence
+from typing import IO, Callable, Mapping, Sequence, TypeVar
 
 from . import __version__
 from .cpcer import aggregate_counts, attach_order_from_rttm, compute_cpcer, concat_by_speaker
@@ -46,10 +48,15 @@ from .timeline import Diarization, sessions_from_rows
 
 logger = logging.getLogger("diarscore")
 
+T = TypeVar("T")
+R = TypeVar("R")  # one session of a reference or hypothesis
+S = TypeVar("S")  # one session's score
 
-def _read_lines(path: str) -> list[str]:
+
+def _parse_file(parse: Callable[[IO[str]], T], path: str) -> T:
+    """Run a parser over the lines of one open UTF-8 file."""
     with open(path, "r", encoding="utf-8") as fh:
-        return fh.readlines()
+        return parse(fh)
 
 
 def _read_sessions(paths: Sequence[str]) -> dict[str, Diarization]:
@@ -70,114 +77,97 @@ def _write_output(text: str, path: str | None) -> None:
         Path(path).write_text(text, encoding="utf-8")
 
 
-def _report_common_sessions(ref_keys, hyp_keys) -> list[str]:
-    common = sorted(set(ref_keys) & set(hyp_keys))
-    for missing in sorted(set(ref_keys) - set(hyp_keys)):
+def _report_scores(
+    args,
+    tunables: Sequence[str],
+    refs: Mapping[str, R],
+    hyps: Mapping[str, R],
+    score: Callable[[str, R, R], S],
+    aggregate: Callable[[list[S]], S],
+    columns: Sequence[str],
+    rates: Callable[[S], Sequence[Fraction]],
+) -> int:
+    """Score each session that refs and hyps share and report it with an OVERALL row.
+
+    ``score(session, ref, hyp)`` gives one session's result, ``aggregate``
+    pools the results into OVERALL, and ``rates`` gives the four rates of a
+    result, named by ``columns``.  Stdout gets the version and tunable
+    header lines and the aligned table; ``--tsv`` gets the same rows.
+    """
+    common = sorted(refs.keys() & hyps.keys())
+    for missing in sorted(refs.keys() - hyps.keys()):
         logger.warning("session %s has no hypothesis; not scored", missing)
-    for missing in sorted(set(hyp_keys) - set(ref_keys)):
+    for missing in sorted(hyps.keys() - refs.keys()):
         logger.warning("session %s has no reference; not scored", missing)
     if not common:
         raise ValidationError("no overlapping sessions between reference and hypothesis")
-    return common
+    results = [score(s, refs[s], hyps[s]) for s in common]
+    labelled = [*zip(common, results), ("OVERALL", aggregate(results))]
+    headers = ["Session", *columns]
+    rows = [[label, *map(percent, rates(result))] for label, result in labelled]
+    header_lines = f"# diarscore {__version__} {args.command}\n"
+    header_lines += "".join(f"# {tunable}\n" for tunable in tunables)
+    sys.stdout.write(header_lines + render_aligned(headers, rows))
+    if args.tsv:
+        _write_output(render_tsv([h.lower() for h in headers], rows), args.tsv)
+    return 0
 
 
 def _cmd_score_der(args) -> int:
-    refs = _read_sessions(args.ref)
-    hyps = _read_sessions(args.hyp)
-    common = _report_common_sessions(refs, hyps)
     scorer = brute_force_der if args.brute_force else score_der
-    breakdowns = [scorer(refs[s], hyps[s])[1] for s in common]
-    overall = aggregate_der(breakdowns)
-    headers = ["Session", "FA", "MISS", "SPKERR", "DER"]
-    rows = [
-        [s, percent(b.rate("fa")), percent(b.rate("miss")), percent(b.rate("spkerr")), percent(b.der)]
-        for s, b in zip(common, breakdowns)
-    ]
-    rows.append(
+    return _report_scores(
+        args,
         [
-            "OVERALL",
-            percent(overall.rate("fa")),
-            percent(overall.rate("miss")),
-            percent(overall.rate("spkerr")),
-            percent(overall.der),
-        ]
+            "collar: none (overlapping speech scored)",
+            f"mapping: {'brute-force' if args.brute_force else 'assignment'}",
+        ],
+        _read_sessions(args.ref),
+        _read_sessions(args.hyp),
+        lambda session, ref, hyp: scorer(ref, hyp)[1],
+        aggregate_der,
+        ["FA", "MISS", "SPKERR", "DER"],
+        lambda b: (b.rate("fa"), b.rate("miss"), b.rate("spkerr"), b.der),
     )
-    header_lines = (
-        f"# diarscore {__version__} score-der\n"
-        f"# collar: none (overlapping speech scored)\n"
-        f"# mapping: {'brute-force' if args.brute_force else 'assignment'}\n"
-    )
-    sys.stdout.write(header_lines + render_aligned(headers, rows))
-    if args.tsv:
-        _write_output(render_tsv([h.lower() for h in headers], rows), args.tsv)
-    return 0
-
-
-def _group_entries(entries: Sequence[TranscriptEntry]) -> dict[str, list[TranscriptEntry]]:
-    grouped: dict[str, list[TranscriptEntry]] = {}
-    for e in entries:
-        grouped.setdefault(e.session, []).append(e)
-    return grouped
 
 
 def _cmd_score_cpcer(args) -> int:
-    ref_entries = parse_transcript(_read_lines(args.ref_trn))
-    hyp_entries = parse_transcript(_read_lines(args.hyp_trn))
+    ref_entries = _parse_file(parse_transcript, args.ref_trn)
+    hyp_entries = _parse_file(parse_transcript, args.hyp_trn)
     if args.ref_rttm:
-        turns = []
-        for path in args.ref_rttm:
-            with open(path, "r", encoding="utf-8") as fh:
-                turns += parse_rttm(fh)
+        turns = [t for path in args.ref_rttm for t in _parse_file(parse_rttm, path)]
         ref_entries = attach_order_from_rttm(ref_entries, turns)
-    refs = _group_entries(ref_entries)
-    hyps = _group_entries(hyp_entries)
-    common = _report_common_sessions(refs, hyps)
+    refs: dict[str, list[TranscriptEntry]] = {}
+    hyps: dict[str, list[TranscriptEntry]] = {}
+    for entries, sessions in ((ref_entries, refs), (hyp_entries, hyps)):
+        for e in entries:
+            sessions.setdefault(e.session, []).append(e)
     strip = not args.keep_punctuation
     mode = "brute-force" if args.brute_force else "assignment"
 
-    def score(session: str):
-        ref_st = concat_by_speaker(refs[session], session=session, strip_punctuation=strip)
-        hyp_st = concat_by_speaker(hyps[session], session=session, strip_punctuation=strip)
-        return compute_cpcer(ref_st, hyp_st, mode=mode)
+    def score(session, ref, hyp):
+        ref_st = concat_by_speaker(ref, session=session, strip_punctuation=strip)
+        hyp_st = concat_by_speaker(hyp, session=session, strip_punctuation=strip)
+        return compute_cpcer(ref_st, hyp_st, mode=mode).counts
 
-    results = [score(s) for s in common]
-    overall = aggregate_counts([r.counts for r in results])
-    headers = ["Session", "S", "D", "I", "cpCER"]
-
-    def row(label, counts):
-        n = counts.n
-        return [
-            label,
-            percent(Fraction(counts.s, n)),
-            percent(Fraction(counts.d, n)),
-            percent(Fraction(counts.i, n)),
-            percent(counts.cer),
-        ]
-
-    rows = [row(s, r.counts) for s, r in zip(common, results)]
-    rows.append(row("OVERALL", overall))
-    header_lines = (
-        f"# diarscore {__version__} score-cpcer\n"
-        f"# punctuation: {'kept' if args.keep_punctuation else 'stripped'}\n"
-        f"# assignment: {mode}\n"
+    return _report_scores(
+        args,
+        [f"punctuation: {'kept' if args.keep_punctuation else 'stripped'}", f"assignment: {mode}"],
+        refs,
+        hyps,
+        score,
+        aggregate_counts,
+        ["S", "D", "I", "cpCER"],
+        lambda c: (Fraction(c.s, c.n), Fraction(c.d, c.n), Fraction(c.i, c.n), c.cer),
     )
-    sys.stdout.write(header_lines + render_aligned(headers, rows))
-    if args.tsv:
-        _write_output(render_tsv([h.lower() for h in headers], rows), args.tsv)
-    return 0
 
 
 def _cmd_fuse(args) -> int:
     inputs = []
-    session = None
     for path in args.rttm:
         sessions = _read_sessions([path])
         if len(sessions) != 1:
             raise ValidationError(f"{path}: expected exactly one session, got {len(sessions)}")
-        ((s, d),) = sessions.items()
-        if session is None:
-            session = s
-        inputs.append(d)
+        inputs.extend(sessions.values())
     weights = None
     if args.weights:
         try:
@@ -190,8 +180,7 @@ def _cmd_fuse(args) -> int:
 
 
 def _cmd_binarize(args) -> int:
-    matrix = parse_matrix(_read_lines(args.matrix))
-    d = binarize_probs(matrix, threshold=args.threshold)
+    d = binarize_probs(_parse_file(parse_matrix, args.matrix), threshold=args.threshold)
     d = smooth_segments(d, max_gap_ms=args.max_gap, min_dur_ms=args.min_dur)
     _write_output(emit_rttm(d.to_turns()), args.output)
     return 0
@@ -204,16 +193,14 @@ def _cmd_manifest(args) -> int:
 
 
 def _cmd_assemble(args) -> int:
-    manifest = parse_manifest(_read_lines(args.manifest))
-    texts = parse_texts(_read_lines(args.texts))
+    manifest = _parse_file(parse_manifest, args.manifest)
+    texts = _parse_file(parse_texts, args.texts)
     entries = assemble_transcript(manifest, texts)
     _write_output(emit_transcript(entries), args.output)
     return 0
 
 
 def _cmd_synth(args) -> int:
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     generated = generate_session(
         speakers=args.speakers,
         duration_ms=args.duration_ms,
@@ -240,13 +227,21 @@ def _cmd_synth(args) -> int:
         insert=args.insert,
         seed=args.seed,
     )
-    (out / "ref.rttm").write_text(emit_rttm(ref.to_turns()), encoding="utf-8")
-    (out / "ref.trn").write_text(emit_transcript(generated.transcript), encoding="utf-8")
-    (out / "hyp.rttm").write_text(emit_rttm(hyp.to_turns()), encoding="utf-8")
-    (out / "hyp.trn").write_text(emit_transcript(hyp_entries), encoding="utf-8")
-    (out / "ledger.tsv").write_text(write_ledger(diar_ledger, text_ledger), encoding="utf-8")
+    # every text is built before any file is written, so a rejected input
+    # leaves no partial output
+    files = {
+        "ref.rttm": emit_rttm(ref.to_turns()),
+        "ref.trn": emit_transcript(generated.transcript),
+        "hyp.rttm": emit_rttm(hyp.to_turns()),
+        "hyp.trn": emit_transcript(hyp_entries),
+        "ledger.tsv": write_ledger(diar_ledger, text_ledger),
+    }
+    out = Path(args.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    for name, text in files.items():
+        (out / name).write_text(text, encoding="utf-8")
     sys.stdout.write(
-        f"# session {args.session}: wrote ref.rttm ref.trn hyp.rttm hyp.trn ledger.tsv to {out}\n"
+        f"# session {args.session}: wrote {' '.join(files)} to {out}\n"
         f"# realized overlap: {percent(generated.realized_overlap)}%"
         f"  realized silence: {percent(generated.realized_silence)}%\n"
     )

@@ -81,9 +81,6 @@ class SpeakerMap:
         if len(set(refs)) != len(refs) or len(set(hyps)) != len(hyps):
             raise ValidationError("speaker map is not injective")
 
-    def as_dict(self) -> dict[str, str]:
-        return dict(self.pairs)
-
 
 def optimal_speaker_map(ref: Diarization, hyp: Diarization) -> SpeakerMap:
     """Injective map maximizing total paired overlap duration.

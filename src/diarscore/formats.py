@@ -16,7 +16,9 @@ list of lines is kept.  ``parse_rttm`` wraps those rows in SpeakerTurns;
 
 Transcript lines are ``<speakerID>_<sessionID><whitespace><text>``, UTF-8,
 one utterance per line.  The speaker/session split is at the *last*
-underscore, so speaker IDs may themselves contain underscores.
+underscore, so speaker IDs may themselves contain underscores and session
+IDs may not: ``emit_transcript`` refuses any entry that would not re-parse
+to the same speaker, session and text.
 """
 
 from __future__ import annotations
@@ -93,19 +95,23 @@ def seconds_to_ms(text: str) -> int:
     """Convert a decimal-seconds string to exact integer milliseconds.
 
     At most 3 fractional digits are accepted; anything else (including
-    scientific notation) is a ParseError.  Negative values parse but are
-    rejected as a ValidationError so callers can report them distinctly.
+    scientific notation, or more digits than ``int()`` converts) is a
+    ParseError.  Negative values parse but are rejected as a
+    ValidationError so callers can report them distinctly.
     """
     whole, dot, frac = text.partition(".")
-    if len(frac) <= 3 and text.isascii() and whole.isdigit() and (frac.isdigit() or not dot):
-        # plain ASCII digits[.d{1,3}], the common case; everything else
-        # (signs, non-ASCII digits, a trailing newline, errors) takes the regex
-        return int(whole) * 1000 + int(frac.ljust(3, "0"))
-    m = _TIME_RE.match(text)
-    if m is None:
-        raise ParseError(f"not a decimal time with at most 3 fractional digits: {text!r}")
-    sign, whole, frac = m.groups()
-    ms = int(whole) * 1000 + int((frac or "").ljust(3, "0") or "0")
+    sign = ""
+    if not (len(frac) <= 3 and text.isascii() and whole.isdigit() and (frac.isdigit() or not dot)):
+        # everything but plain ASCII digits[.d{1,3}] (signs, non-ASCII
+        # digits, a trailing newline, errors) takes the regex
+        m = _TIME_RE.match(text)
+        if m is None:
+            raise ParseError(f"not a decimal time with at most 3 fractional digits: {text!r}")
+        sign, whole, frac = m.groups()
+    try:
+        ms = int(whole) * 1000 + int((frac or "").ljust(3, "0"))
+    except ValueError:  # past sys.get_int_max_str_digits()
+        raise ParseError(f"time too long to convert: {len(text)} characters") from None
     if sign and ms != 0:
         raise ValidationError(f"negative time: {text!r}")
     return ms
@@ -233,5 +239,28 @@ def parse_transcript(stream: IO[str] | Iterable[str]) -> list[TranscriptEntry]:
 
 
 def emit_transcript(entries: Iterable[TranscriptEntry]) -> str:
-    """Serialize transcript entries, one ``<speaker>_<session> <text>`` line each."""
-    return "".join(f"{e.utterance_id} {e.text}\n" for e in entries)
+    """Serialize transcript entries, one ``<speaker>_<session> <text>`` line each.
+
+    An entry that would not re-parse to the same speaker, session and text
+    is a ValidationError: an utterance ID that holds whitespace or does not
+    split at its last underscore back into the entry's own speaker and
+    session (an empty one, or a session ID with an underscore), and a text
+    that starts with whitespace or holds a line break.
+    """
+    lines = []
+    for e in entries:
+        uid = e.utterance_id
+        check_id("utterance ID", uid)
+        try:
+            parsed = split_utterance_id(uid)
+        except ParseError:  # an empty speaker or session
+            parsed = None
+        if parsed != (e.speaker, e.session):
+            raise ValidationError(
+                f"utterance ID {uid!r} does not split back into"
+                f" speaker {e.speaker!r} and session {e.session!r}"
+            )
+        if e.text[:1].isspace() or "\n" in e.text or "\r" in e.text:
+            raise ValidationError(f"text of {uid!r} would not re-parse: {e.text!r}")
+        lines.append(f"{uid} {e.text}\n")
+    return "".join(lines)

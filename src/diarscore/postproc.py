@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import ParseError, ValidationError
 from .formats import TimeInterval, TranscriptEntry
-from .timeline import Diarization
+from .timeline import Diarization, _group
 
 __all__ = [
     "ManifestRow",
@@ -192,6 +192,8 @@ class SegmentManifest:
 
     def __post_init__(self):
         for row in self.rows:
+            if row.start < 0:
+                raise ValidationError(f"negative start time in manifest row: {row}")
             if row.dur <= 0:
                 raise ValidationError(f"non-positive duration in manifest row: {row}")
         ordered = tuple(sorted(self.rows, key=lambda r: (r.session, r.start, r.speaker)))
@@ -213,18 +215,23 @@ def combine_manifests(manifests: Iterable[SegmentManifest]) -> SegmentManifest:
 
 def manifest_to_diarizations(manifest: SegmentManifest) -> dict[str, Diarization]:
     """Rebuild one Diarization per session from manifest rows."""
-    sessions: dict[str, dict[str, list[TimeInterval]]] = {}
-    for row in manifest.rows:
-        sessions.setdefault(row.session, {}).setdefault(row.speaker, []).append(
-            TimeInterval(row.start, row.dur)
-        )
-    return {s: Diarization(s, spk) for s, spk in sorted(sessions.items())}
+    return _group(
+        (row.session, row.speaker, TimeInterval(row.start, row.dur)) for row in manifest.rows
+    )
 
 
 def emit_manifest(manifest: SegmentManifest) -> str:
     lines = ["\t".join(MANIFEST_HEADER)]
     lines += [f"{r.session}\t{r.speaker}\t{r.start}\t{r.dur}" for r in manifest.rows]
     return "".join(line + "\n" for line in lines)
+
+
+def _manifest_row(fields: list[str], lineno: int) -> ManifestRow:
+    """The ManifestRow of the first four fields of one manifest or texts line."""
+    try:
+        return ManifestRow(fields[0], fields[1], int(fields[2]), int(fields[3]))
+    except ValueError:
+        raise ParseError(f"non-integer time in {fields!r}", line=lineno) from None
 
 
 def parse_manifest(stream: IO[str] | Iterable[str]) -> SegmentManifest:
@@ -240,10 +247,7 @@ def parse_manifest(stream: IO[str] | Iterable[str]) -> SegmentManifest:
         fields = line.split("\t")
         if len(fields) != 4:
             raise ParseError(f"expected 4 tab-separated fields, got {len(fields)}", line=lineno)
-        try:
-            rows.append(ManifestRow(fields[0], fields[1], int(fields[2]), int(fields[3])))
-        except ValueError:
-            raise ParseError(f"non-integer time in {fields!r}", line=lineno) from None
+        rows.append(_manifest_row(fields, lineno))
     return SegmentManifest(rows=tuple(rows))
 
 
@@ -259,11 +263,7 @@ def parse_texts(stream: IO[str] | Iterable[str]) -> dict[ManifestRow, str]:
             continue
         if len(fields) != 5:
             raise ParseError(f"expected 5 tab-separated fields, got {len(fields)}", line=lineno)
-        try:
-            row = ManifestRow(fields[0], fields[1], int(fields[2]), int(fields[3]))
-        except ValueError:
-            raise ParseError(f"non-integer time in {fields!r}", line=lineno) from None
-        texts[row] = fields[4]
+        texts[_manifest_row(fields, lineno)] = fields[4]
     return texts
 
 

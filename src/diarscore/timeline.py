@@ -99,9 +99,10 @@ class Diarization:
             combined.setdefault(spk, []).extend(ivs)
         return Diarization(self.session, combined)
 
-    def to_turns(self, channel: str = "1") -> list[SpeakerTurn]:
+    def to_turns(self) -> list[SpeakerTurn]:
+        """One SpeakerTurn per interval, all on channel "1"."""
         return [
-            SpeakerTurn(session=self.session, channel=channel, speaker=spk, interval=iv)
+            SpeakerTurn(session=self.session, channel="1", speaker=spk, interval=iv)
             for spk, ivs in self._speakers.items()
             for iv in ivs
         ]

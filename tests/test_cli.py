@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from diarscore import __version__
 from diarscore.cli import main
 from diarscore.formats import emit_rttm, emit_transcript, parse_rttm, parse_transcript
 from diarscore.synth import generate_session
@@ -148,6 +149,107 @@ def test_score_cpcer_recovers_text_ledger(capsys, session_files, tmp_path):
     ]
 
 
+def write_report_inputs(tmp_path, first):
+    """The session_files session S0001 and three more: S0002 is scored too,
+    S0003 has no hypothesis and S0004 no reference."""
+    from diarscore.synth import corrupt_diarization, corrupt_text
+
+    sessions = [first] + [
+        generate_session(speakers=2, duration_ms=dur, seed=12 + k, session=f"S000{k + 1}")
+        for k, dur in ((1, 20_000), (2, 5_000), (3, 5_000))
+    ]
+    ref_turns, hyp_turns, ref_entries, hyp_entries = [], [], [], []
+    for k, sess in enumerate(sessions):
+        hyp_d, _ = corrupt_diarization(
+            sess.diarization, fa_ms=900, miss_ms=700, spkerr_ms=400, seed=3 + k
+        )
+        hyp_e, _ = corrupt_text(sess.transcript, sub=4, delete=3, insert=2, seed=9 + k)
+        if sess.diarization.session != "S0004":
+            ref_turns += sess.diarization.to_turns()
+            ref_entries += sess.transcript
+        if sess.diarization.session != "S0003":
+            hyp_turns += hyp_d.to_turns()
+            hyp_entries += hyp_e
+    paths = {name: tmp_path / name for name in ("ref.rttm", "hyp.rttm", "ref.trn", "hyp.trn")}
+    paths["ref.rttm"].write_text(emit_rttm(ref_turns), encoding="utf-8")
+    paths["hyp.rttm"].write_text(emit_rttm(hyp_turns), encoding="utf-8")
+    paths["ref.trn"].write_text(emit_transcript(ref_entries), encoding="utf-8")
+    paths["hyp.trn"].write_text(emit_transcript(hyp_entries), encoding="utf-8")
+    return paths
+
+
+DER_TABLE = """\
+Session    FA  MISS  SPKERR    DER
+S0001    2.10  1.64    0.94   4.68
+S0002    4.66  3.62    2.07  10.35
+OVERALL  2.90  2.25    1.29   6.44
+"""
+DER_TSV = """\
+session\tfa\tmiss\tspkerr\tder
+S0001\t2.10\t1.64\t0.94\t4.68
+S0002\t4.66\t3.62\t2.07\t10.35
+OVERALL\t2.90\t2.25\t1.29\t6.44
+"""
+CPCER_TABLE = """\
+Session     S     D     I  cpCER
+S0001    3.05  2.29  1.53   6.87
+S0002    6.78  5.08  3.39  15.25
+OVERALL  4.21  3.16  2.11   9.47
+"""
+CPCER_TSV = """\
+session\ts\td\ti\tcpcer
+S0001\t3.05\t2.29\t1.53\t6.87
+S0002\t6.78\t5.08\t3.39\t15.25
+OVERALL\t4.21\t3.16\t2.11\t9.47
+"""
+# (arguments after the command, header lines after the version line, table, TSV)
+REPORTS = [
+    (
+        ["score-der", "--ref", "ref.rttm", "--hyp", "hyp.rttm"],
+        "# collar: none (overlapping speech scored)\n# mapping: assignment\n",
+        DER_TABLE,
+        DER_TSV,
+    ),
+    (
+        ["score-der", "--ref", "ref.rttm", "--hyp", "hyp.rttm", "--brute-force"],
+        "# collar: none (overlapping speech scored)\n# mapping: brute-force\n",
+        DER_TABLE,
+        DER_TSV,
+    ),
+    (
+        ["score-cpcer", "--ref-trn", "ref.trn", "--ref-rttm", "ref.rttm", "--hyp-trn", "hyp.trn"],
+        "# punctuation: stripped\n# assignment: assignment\n",
+        CPCER_TABLE,
+        CPCER_TSV,
+    ),
+    (
+        ["score-cpcer", "--ref-trn", "ref.trn", "--hyp-trn", "hyp.trn", "--keep-punctuation",
+         "--brute-force"],
+        "# punctuation: kept\n# assignment: brute-force\n",
+        CPCER_TABLE,
+        CPCER_TSV,
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "argv,tunables,table,tsv", REPORTS, ids=["der", "der-brute", "cpcer", "cpcer-kept-brute"]
+)
+def test_report_is_pinned(capsys, caplog, session_files, tmp_path, argv, tunables, table, tsv):
+    (tmp_path / "report").mkdir()
+    paths = write_report_inputs(tmp_path / "report", session_files[0])
+    argv = [paths.get(a, a) for a in argv]
+    with caplog.at_level("WARNING"):
+        code, out, _ = run(capsys, *argv, "--tsv", tmp_path / "out.tsv")
+    assert code == 0
+    assert out == f"# diarscore {__version__} {argv[0]}\n" + tunables + table
+    assert (tmp_path / "out.tsv").read_text(encoding="utf-8") == tsv
+    assert [r.getMessage() for r in caplog.records] == [
+        "session S0003 has no hypothesis; not scored",
+        "session S0004 has no reference; not scored",
+    ]
+
+
 def test_fuse_idempotent_from_cli(capsys, session_files, tmp_path):
     _, ref, _ = session_files
     out_path = tmp_path / "fused.rttm"
@@ -219,6 +321,63 @@ def test_manifest_and_assemble_round_trip(capsys, session_files, tmp_path):
     entries = parse_transcript(io.StringIO(transcript_out))
     assert entries
     assert all(e.session == "S0001" for e in entries)
+
+
+def test_inputs_are_parsed_from_the_open_file(capsys, tmp_path):
+    # a bad first line is reported before an invalid UTF-8 byte that lies
+    # more than one read chunk later is ever decoded
+    filler = "SPK01_S0001 " + "x" * 20_000 + "\n"
+    trn = tmp_path / "bad.trn"
+    trn.write_bytes(("loneid\n" + filler).encode() + b"SPK01_S0001 \xff\n")
+    manifest = tmp_path / "bad.tsv"
+    manifest.write_bytes(("not a header\n" + filler).encode() + b"\xff\n")
+    good = tmp_path / "good.trn"
+    good.write_text("SPK01_S0001 x\n", encoding="utf-8")
+    header = "error: line 1: expected header ('session', 'speaker', 'start_ms', 'dur_ms')\n"
+    for argv, stderr in (
+        (["score-cpcer", "--ref-trn", trn, "--hyp-trn", good],
+         "error: line 1: no text column after the utterance ID\n"),
+        (["score-cpcer", "--ref-trn", good, "--hyp-trn", trn],
+         "error: line 1: no text column after the utterance ID\n"),
+        (["assemble", "--manifest", manifest, "--texts", good], header),
+    ):
+        assert run(capsys, *argv)[::2] == (1, stderr), argv
+
+
+@pytest.mark.parametrize(
+    "row,stderr",
+    [
+        # SPK01_R01_S102901 would re-parse as speaker SPK01_R01 of session S102901
+        (
+            "R01_S102901\tSPK01\t0\t1000",
+            "error: utterance ID 'SPK01_R01_S102901' does not split back into"
+            " speaker 'SPK01' and session 'R01_S102901'\n",
+        ),
+        (
+            "S1\tA\t-500\t1000",
+            "error: negative start time in manifest row:"
+            " ManifestRow(session='S1', speaker='A', start=-500, dur=1000)\n",
+        ),
+    ],
+    ids=["session-with-underscore", "negative-start"],
+)
+def test_assemble_refuses_a_row_it_cannot_write(capsys, tmp_path, row, stderr):
+    manifest = tmp_path / "manifest.tsv"
+    manifest.write_text(f"session\tspeaker\tstart_ms\tdur_ms\n{row}\n", encoding="utf-8")
+    texts = tmp_path / "texts.tsv"
+    texts.write_text(f"{row}\thello\n", encoding="utf-8")
+    assert run(capsys, "assemble", "--manifest", manifest, "--texts", texts) == (1, "", stderr)
+
+
+def test_synth_rejects_a_session_id_that_splits_elsewhere(capsys, tmp_path):
+    out_dir = tmp_path / "synth"
+    code, out, err = run(capsys, "synth", "--out-dir", out_dir, "--session", "R01_S1")
+    assert (code, out) == (1, "")
+    assert err == (
+        "error: utterance ID 'SPK03_R01_S1' does not split back into"
+        " speaker 'SPK03' and session 'R01_S1'\n"
+    )
+    assert not out_dir.exists()  # no partial output
 
 
 def test_synth_is_deterministic(capsys, tmp_path):
@@ -319,6 +478,11 @@ BAD_RTTM = [
     (
         "SPEAKER S1 1 1.00 0.000 <NA> <NA> A <NA> <NA>\n",
         "error: line 2: non-positive duration: 0 ms\n",
+    ),
+    pytest.param(
+        "SPEAKER S1 1 " + "1" * 5000 + " 1.00 <NA> <NA> A <NA> <NA>\n",
+        "error: line 2: time too long to convert: 5000 characters\n",
+        id="over-long-time",
     ),
     (
         "SPEAKER S1 1 \uff11.00 \u0661.5 <NA> <NA> A <NA> <NA>\n",

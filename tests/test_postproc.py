@@ -132,6 +132,22 @@ def test_manifest_tsv_round_trip():
         parse_manifest(io.StringIO("not\ta\theader\tline\n"))
 
 
+def test_manifest_and_texts_reject_bad_times_alike():
+    header = "session\tspeaker\tstart_ms\tdur_ms"
+    with pytest.raises(ParseError) as exc:
+        parse_manifest(io.StringIO(f"{header}\nS1\tA\tx\t100\n"))
+    assert (exc.value.line, str(exc.value)) == (
+        2,
+        "line 2: non-integer time in ['S1', 'A', 'x', '100']",
+    )
+    with pytest.raises(ParseError) as exc:
+        parse_texts(io.StringIO(f"{header}\ttext\nS1\tA\t0\t1.5\thi\n"))
+    assert (exc.value.line, str(exc.value)) == (
+        2,
+        "line 2: non-integer time in ['S1', 'A', '0', '1.5', 'hi']",
+    )
+
+
 def test_matrix_file_round_trip():
     m = matrix([[0.25, 1.0], [0.0, 0.5]], speakers=("A", "B"))
     parsed = parse_matrix(io.StringIO(emit_matrix(m)))
