@@ -1,10 +1,20 @@
 """Concatenated minimum-permutation character error rate.
 
-Three steps: merge each speaker's utterances chronologically into one
-stream per side, score every pairing of reference and hypothesis streams,
-and keep the assignment with the lowest total error.  The minimization is
-solved as a rectangular assignment problem (edit cost is additive over
-stream pairs); a factorial brute-force mode is kept as the oracle.
+Merge each speaker's utterances chronologically into one stream per side,
+then keep the pairing of reference and hypothesis streams with the lowest
+total error.  Edit cost is additive over stream pairs, so the minimization
+is a rectangular assignment problem, solved without aligning every pair:
+
+1. bound: a cheap character-histogram lower bound stands in for each
+   pair's edit distance (exact when the pair shares no character);
+2. solve: find the tie-broken optimal assignment over those entries;
+3. verify: align the pairs of that optimum whose entry is still a bound,
+   write their exact distances in, and solve again, until the optimum
+   uses exact entries only.
+
+That optimum is the one the full distance matrix would give (see
+``_histogram_bounds``).  A factorial brute-force mode over the full matrix
+is kept as the oracle.
 
 The denominator is always the total reference character count, regardless
 of which assignment wins.
@@ -13,6 +23,7 @@ of which assignment wins.
 from __future__ import annotations
 
 import logging
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
@@ -141,6 +152,37 @@ def _pad(names: Sequence[str], texts: Sequence[str], size: int) -> tuple[list[st
     return padded_names, padded_texts
 
 
+def _histogram_bounds(
+    r_texts: Sequence[str], h_texts: Sequence[str]
+) -> tuple[np.ndarray, set[tuple[int, int]]]:
+    """Lower-bound every pair's edit distance; also return the inexact cells.
+
+    For character histograms c_r and c_h the bound is
+    max(|r|, |h|) - sum_c min(c_r[c], c_h[c]), which equals
+    max(sum (c_r - c_h)+, sum (c_h - c_r)+): one edit removes at most one
+    surplus and one deficit character.  With no character in common it is
+    max(|r|, |h|), which is also an upper bound, so such a cell (an empty
+    stream included) is exact; every other cell is returned as inexact.
+
+    The assignment solver adds the same tie-break terms to any matrix and
+    its tie-broken optimum is unique.  So an optimum over these entries
+    that uses exact cells only has a true tie-broken total strictly below
+    the bounded total of any other assignment, hence below that
+    assignment's true total: it is the full matrix's optimum too.
+    """
+    r_hists = [Counter(t) for t in r_texts]
+    h_hists = [Counter(t) for t in h_texts]
+    cost = np.zeros((len(r_texts), len(h_texts)), dtype=np.int64)
+    inexact = set()
+    for i, (rt, cr) in enumerate(zip(r_texts, r_hists)):
+        for j, (ht, ch) in enumerate(zip(h_texts, h_hists)):
+            common = sum(min(cr[c], ch[c]) for c in cr.keys() & ch.keys())
+            cost[i, j] = max(len(rt), len(ht)) - common
+            if common:
+                inexact.add((i, j))
+    return cost, inexact
+
+
 def compute_cpcer(ref: SpeakerText, hyp: SpeakerText, mode: str = "assignment") -> CpcerResult:
     """Lowest CER over all pairings of reference and hypothesis streams.
 
@@ -148,7 +190,9 @@ def compute_cpcer(ref: SpeakerText, hyp: SpeakerText, mode: str = "assignment") 
     stream costs its full length in deletions, an unmatched hypothesis
     stream its full length in insertions.  mode="brute-force" enumerates
     every bijection instead of solving the assignment problem; both modes
-    break ties toward the lexicographically smallest pairing.
+    break ties toward the lexicographically smallest pairing.  The
+    assignment mode aligns only the pairs that some intermediate optimum
+    uses (see the module docstring); brute-force aligns every pair.
     """
     if ref.session != hyp.session:
         raise SessionMismatchError(f"{ref.session!r} vs {hyp.session!r}")
@@ -161,13 +205,19 @@ def compute_cpcer(ref: SpeakerText, hyp: SpeakerText, mode: str = "assignment") 
     size = max(len(ref_names), len(hyp_names))
     r_names, r_texts = _pad(ref_names, [ref.streams[s] for s in ref_names], size)
     h_names, h_texts = _pad(hyp_names, [hyp.streams[s] for s in hyp_names], size)
-    cost = np.zeros((size, size), dtype=np.int64)
-    for i, rt in enumerate(r_texts):
-        for j, ht in enumerate(h_texts):
-            cost[i, j] = edit_distance(rt, ht)
     if mode == "assignment":
+        cost, inexact = _histogram_bounds(r_texts, h_texts)
         cols = lexsmallest_assignment(cost, maximize=False)
+        while pending := [(i, j) for i, j in enumerate(cols) if (i, j) in inexact]:
+            for i, j in pending:
+                cost[i, j] = edit_distance(r_texts[i], h_texts[j])
+                inexact.remove((i, j))
+            cols = lexsmallest_assignment(cost, maximize=False)
     else:
+        cost = np.zeros((size, size), dtype=np.int64)
+        for i, rt in enumerate(r_texts):
+            for j, ht in enumerate(h_texts):
+                cost[i, j] = edit_distance(rt, ht)
         best: list[int] | None = None
         best_total = None
         row_idx = np.arange(size)

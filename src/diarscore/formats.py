@@ -140,19 +140,23 @@ def split_utterance_id(uid: str) -> tuple[str, str]:
 def _rttm_rows(stream: IO[str] | Iterable[str]) -> Iterator[RttmRow]:
     """Yield the validated row of each SPEAKER record, in file order.
 
-    Only SPEAKER records are kept; other record types are skipped with a
-    warning, and ``;``-comments are ignored.  Lines with fewer than 9
-    fields, non-numeric times, or non-positive durations raise with the
-    offending line number.  The id checks run once per distinct
-    (session, speaker) pair.
+    Only SPEAKER records are kept, and ``;``-comments are ignored.  Other
+    record types are skipped: the first one with a warning, and when the
+    stream ends a second warning gives the total if there was more than
+    one.  Lines with fewer than 9 fields, non-numeric times, or
+    non-positive durations raise with the offending line number.  The id
+    checks run once per distinct (session, speaker) pair.
     """
     checked: set[tuple[str, str]] = set()
+    skipped = 0
     for lineno, raw in enumerate(stream, 1):
         fields = raw.split()
         if not fields or fields[0].startswith(";"):
             continue
         if fields[0] != "SPEAKER":
-            logger.warning("line %d: skipping record type %r", lineno, fields[0])
+            if not skipped:
+                logger.warning("line %d: skipping record type %r", lineno, fields[0])
+            skipped += 1
             continue
         if len(fields) < 9:
             raise ParseError(f"expected at least 9 fields, got {len(fields)}", line=lineno)
@@ -172,14 +176,16 @@ def _rttm_rows(stream: IO[str] | Iterable[str]) -> Iterator[RttmRow]:
         except ValidationError as exc:
             raise ValidationError(f"line {lineno}: {exc}") from None
         yield session, fields[2], speaker, start, dur
+    if skipped > 1:
+        logger.warning("skipped %d records that are not SPEAKER", skipped)
 
 
 def parse_rttm(stream: IO[str] | Iterable[str]) -> list[SpeakerTurn]:
     """Parse RTTM text into SpeakerTurns, preserving file order.
 
     The records and errors are those of the streaming row reader: other
-    record types are skipped with a warning, ``;``-comments are ignored,
-    and malformed lines raise with their line number.
+    record types are skipped with at most two warnings, ``;``-comments
+    are ignored, and malformed lines raise with their line number.
     """
     return [
         SpeakerTurn(session, channel, speaker, TimeInterval(start, dur))

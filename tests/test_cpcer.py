@@ -1,7 +1,11 @@
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from diarscore import cpcer
+from diarscore.cer import edit_distance
 from diarscore.cpcer import (
     SpeakerText,
     attach_order_from_rttm,
@@ -120,6 +124,87 @@ def test_brute_force_agrees_with_assignment():
         slow = compute_cpcer(ref, hyp, mode="brute-force")
         assert fast.counts == slow.counts
         assert fast.assignment == slow.assignment
+
+
+# Streams over 1-4 letters share most characters, so the histogram bounds
+# are weak and the assignment mode has to align and re-solve.
+small_alphabet_streams = st.sampled_from(["a", "ab", "abc", "abcd"]).flatmap(
+    lambda alphabet: st.lists(st.text(alphabet=alphabet, max_size=8), max_size=4)
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_alphabet_streams.filter(any), small_alphabet_streams)
+def test_bounded_assignment_matches_full_matrix(ref_texts, hyp_texts):
+    ref = SpeakerText("S1", {f"R{k}": t for k, t in enumerate(ref_texts)})
+    hyp = SpeakerText("S1", {f"H{k}": t for k, t in enumerate(hyp_texts)})
+    fast = compute_cpcer(ref, hyp, mode="assignment")
+    slow = compute_cpcer(ref, hyp, mode="brute-force")
+    assert fast.assignment == slow.assignment
+    assert fast.counts == slow.counts
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_alphabet_streams, small_alphabet_streams)
+def test_histogram_bound_never_exceeds_distance(ref_texts, hyp_texts):
+    cost, inexact = cpcer._histogram_bounds(ref_texts, hyp_texts)
+    assert cost.shape == (len(ref_texts), len(hyp_texts))
+    for i, r in enumerate(ref_texts):
+        for j, h in enumerate(hyp_texts):
+            distance = edit_distance(r, h)
+            assert cost[i, j] <= distance
+            if not r or not h:
+                assert (i, j) not in inexact
+            if (i, j) not in inexact:
+                assert cost[i, j] == distance
+
+
+def zipf_streams(rng, speakers, length, pool_size=3000, edit_rate=0.1):
+    """Matched reference/hypothesis streams drawn Zipf-like from one shared pool."""
+    pool = [chr(0x4E00 + k) for k in range(pool_size)]
+    cum, total = [], 0.0
+    for rank in range(1, pool_size + 1):
+        total += 1 / rank
+        cum.append(total)
+
+    def draw(k):
+        return "".join(rng.choices(pool, cum_weights=cum, k=k))
+
+    refs, hyps = [], []
+    for _ in range(speakers):
+        ref = draw(length)
+        hyp = []
+        for ch in ref:
+            u = rng.random()
+            if u < edit_rate / 3:
+                continue  # deletion
+            hyp.append(draw(1) if u < 2 * edit_rate / 3 else ch)  # substitution or keep
+            if 2 * edit_rate / 3 <= u < edit_rate:
+                hyp.append(draw(1))  # insertion
+        refs.append(ref)
+        hyps.append("".join(hyp))
+    return refs, hyps
+
+
+@pytest.mark.parametrize("speakers, length", [(4, 3000), (6, 2000)])
+def test_shared_vocabulary_aligns_fewer_than_all_cells(monkeypatch, speakers, length):
+    refs, hyps = zipf_streams(random.Random(speakers), speakers, length)
+    ref = SpeakerText("S1", {f"R{k}": t for k, t in enumerate(refs)})
+    # hypothesis names sort in the reverse order of their speakers
+    hyp = SpeakerText("S1", {f"H{speakers - k}": t for k, t in enumerate(hyps)})
+    slow = compute_cpcer(ref, hyp, mode="brute-force")
+    calls = []
+
+    def counted(r, h):
+        calls.append((r, h))
+        return edit_distance(r, h)
+
+    monkeypatch.setattr(cpcer, "edit_distance", counted)
+    fast = compute_cpcer(ref, hyp, mode="assignment")
+    assert fast.assignment == slow.assignment
+    assert fast.counts == slow.counts
+    assert fast.assignment.pairs == tuple((f"R{k}", f"H{speakers - k}") for k in range(speakers))
+    assert len(calls) < speakers * speakers
 
 
 def test_attach_order_from_rttm_reorders_reference():

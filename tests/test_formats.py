@@ -85,6 +85,16 @@ def test_parse_skips_non_speaker_records_with_warning(caplog):
     assert "LEXEME" in caplog.text
 
 
+def test_non_rttm_input_warns_once_plus_a_total(caplog):
+    # a transcript read as RTTM: every line is a record of some other type
+    text = "".join(f"SPK01_S0001 utterance number {k}\n" for k in range(50))
+    with caplog.at_level("WARNING"):
+        assert parse_rttm(io.StringIO(text)) == []
+    assert len(caplog.records) <= 2
+    assert "line 1: skipping record type 'SPK01_S0001'" in caplog.text
+    assert "skipped 50 records" in caplog.text
+
+
 def test_parse_skips_comments_and_blank_lines():
     text = "; a comment\n\n" + EXAMPLE_LINE + "\n"
     assert len(parse_rttm(io.StringIO(text))) == 1
