@@ -5,7 +5,8 @@ synth.  The two scoring commands share one report path: pair the
 reference and hypothesis sessions, score each common one, pool them into
 an OVERALL row, echo the active tunables in header lines, print aligned
 text to stdout, and mirror the same rows to a TSV.  Every input is parsed
-straight from its open file.  Exit codes: 0 success, 1 validation error,
+straight from its open file; every command that reads RTTM streams its
+turns through the same reader.  Exit codes: 0 success, 1 validation error,
 2 I/O error (argparse usage errors also exit 2).
 """
 
@@ -16,18 +17,18 @@ import logging
 import sys
 from fractions import Fraction
 from pathlib import Path
-from typing import IO, Callable, Mapping, Sequence, TypeVar
+from typing import IO, Callable, Iterator, Mapping, Sequence, TypeVar
 
 from . import __version__
 from .cpcer import aggregate_counts, attach_order_from_rttm, compute_cpcer, concat_by_speaker
 from .der import aggregate_der, brute_force_der, score_der
 from .errors import DiarscoreError, ValidationError
 from .formats import (
+    SpeakerTurn,
     TranscriptEntry,
-    _rttm_rows,
+    _rttm_turns,
     emit_rttm,
     emit_transcript,
-    parse_rttm,
     parse_transcript,
 )
 from .fusion import fuse_channels
@@ -44,7 +45,7 @@ from .postproc import (
 )
 from .reporting import percent, render_aligned, render_tsv
 from .synth import corrupt_diarization, corrupt_text, generate_session, write_ledger
-from .timeline import Diarization, sessions_from_rows
+from .timeline import Diarization, by_session
 
 logger = logging.getLogger("diarscore")
 
@@ -59,15 +60,16 @@ def _parse_file(parse: Callable[[IO[str]], T], path: str) -> T:
         return parse(fh)
 
 
+def _rttm_stream(paths: Sequence[str]) -> Iterator[SpeakerTurn]:
+    """Stream the SpeakerTurns of each RTTM file in turn, one open file at a time."""
+    for path in paths:
+        with open(path, "r", encoding="utf-8") as fh:
+            yield from _rttm_turns(fh)
+
+
 def _read_sessions(paths: Sequence[str]) -> dict[str, Diarization]:
-    """Stream the RTTM rows of each file in turn, one open file at a time, into sessions."""
-
-    def rows():
-        for path in paths:
-            with open(path, "r", encoding="utf-8") as fh:
-                yield from _rttm_rows(fh)
-
-    return sessions_from_rows(rows())
+    """One Diarization per session of the RTTM files; no turn is kept."""
+    return by_session(_rttm_stream(paths))
 
 
 def _write_output(text: str, path: str | None) -> None:
@@ -134,8 +136,7 @@ def _cmd_score_cpcer(args) -> int:
     ref_entries = _parse_file(parse_transcript, args.ref_trn)
     hyp_entries = _parse_file(parse_transcript, args.hyp_trn)
     if args.ref_rttm:
-        turns = [t for path in args.ref_rttm for t in _parse_file(parse_rttm, path)]
-        ref_entries = attach_order_from_rttm(ref_entries, turns)
+        ref_entries = attach_order_from_rttm(ref_entries, _rttm_stream(args.ref_rttm))
     refs: dict[str, list[TranscriptEntry]] = {}
     hyps: dict[str, list[TranscriptEntry]] = {}
     for entries, sessions in ((ref_entries, refs), (hyp_entries, hyps)):

@@ -9,10 +9,13 @@ integer milliseconds; parsing is exact decimal (no binary floating point
 touches the data path).  Emission writes 2 decimals for times on the 10 ms
 grid and 3 for any other time, so emitted files re-parse exactly.
 
-RTTM is read as a stream: one pass over the lines of an open file yields
-validated ``(session, channel, speaker, start_ms, dur_ms)`` rows, and no
-list of lines is kept.  ``parse_rttm`` wraps those rows in SpeakerTurns;
-``timeline.sessions_from_rows`` groups them straight into Diarizations.
+A SpeakerTurn is one SPEAKER record as a plain tuple.  RTTM is read as a
+stream: one reader makes one pass over the lines of an open file and
+yields one validated SpeakerTurn per SPEAKER line, and no list of lines is
+kept.  ``parse_rttm`` is that stream as a list, and ``timeline.by_session``
+groups it into Diarizations.  A SpeakerTurn checks nothing when it is
+built; ``emit_rttm`` refuses any turn whose line would not re-parse to the
+same turn.
 
 Transcript lines are ``<speakerID>_<sessionID><whitespace><text>``, UTF-8,
 one utterance per line.  The speaker/session split is at the *last*
@@ -31,11 +34,9 @@ from typing import IO, Iterable, Iterator, NamedTuple
 from .errors import ParseError, ValidationError
 
 logger = logging.getLogger(__name__)
+_new_tuple = tuple.__new__
 
 _TIME_RE = re.compile(r"^(-?)(\d+)(?:\.(\d{1,3}))?$")
-
-# (session, channel, speaker, start_ms, dur_ms) of one SPEAKER record
-RttmRow = tuple[str, str, str, int, int]
 
 
 class TimeInterval(NamedTuple):
@@ -59,22 +60,13 @@ def check_id(what: str, value: str) -> None:
         raise ValidationError(f"{what} must be non-empty without whitespace: {value!r}")
 
 
-@dataclass(frozen=True)
-class SpeakerTurn:
-    """One RTTM SPEAKER record."""
+class SpeakerTurn(NamedTuple):
+    """One RTTM SPEAKER record; it is validated where it is read or written."""
 
     session: str
     channel: str
     speaker: str
     interval: TimeInterval
-
-    def __post_init__(self):
-        check_id("session", self.session)
-        check_id("speaker", self.speaker)
-        if self.interval.start < 0:
-            raise ValidationError(f"negative start time: {self.interval.start} ms")
-        if self.interval.dur <= 0:
-            raise ValidationError(f"non-positive duration: {self.interval.dur} ms")
 
 
 @dataclass(frozen=True)
@@ -117,14 +109,6 @@ def seconds_to_ms(text: str) -> int:
     return ms
 
 
-def ms_to_seconds(ms: int) -> str:
-    """Format milliseconds as seconds with exactly 2 decimals, round half-up."""
-    if ms < 0:
-        raise ValidationError(f"negative time: {ms} ms")
-    centis = (ms + 5) // 10
-    return f"{centis // 100}.{centis % 100:02d}"
-
-
 def join_utterance_id(speaker: str, session: str) -> str:
     return f"{speaker}_{session}"
 
@@ -137,8 +121,8 @@ def split_utterance_id(uid: str) -> tuple[str, str]:
     return speaker, session
 
 
-def _rttm_rows(stream: IO[str] | Iterable[str]) -> Iterator[RttmRow]:
-    """Yield the validated row of each SPEAKER record, in file order.
+def _rttm_turns(stream: IO[str] | Iterable[str]) -> Iterator[SpeakerTurn]:
+    """Yield the validated SpeakerTurn of each SPEAKER record, in file order.
 
     Only SPEAKER records are kept, and ``;``-comments are ignored.  Other
     record types are skipped: the first one with a warning, and when the
@@ -175,7 +159,11 @@ def _rttm_rows(stream: IO[str] | Iterable[str]) -> Iterator[RttmRow]:
             raise ParseError(str(exc), line=lineno) from None
         except ValidationError as exc:
             raise ValidationError(f"line {lineno}: {exc}") from None
-        yield session, fields[2], speaker, start, dur
+        # tuple.__new__ skips the Python-level __new__ of both NamedTuples,
+        # which would double the cost of building a turn on this per-line path
+        yield _new_tuple(
+            SpeakerTurn, (session, fields[2], speaker, _new_tuple(TimeInterval, (start, dur)))
+        )
     if skipped > 1:
         logger.warning("skipped %d records that are not SPEAKER", skipped)
 
@@ -183,34 +171,44 @@ def _rttm_rows(stream: IO[str] | Iterable[str]) -> Iterator[RttmRow]:
 def parse_rttm(stream: IO[str] | Iterable[str]) -> list[SpeakerTurn]:
     """Parse RTTM text into SpeakerTurns, preserving file order.
 
-    The records and errors are those of the streaming row reader: other
-    record types are skipped with at most two warnings, ``;``-comments
-    are ignored, and malformed lines raise with their line number.
+    The list of what the streaming reader yields: other record types are
+    skipped with at most two warnings, ``;``-comments are ignored, and
+    malformed lines raise with their line number.
     """
-    return [
-        SpeakerTurn(session, channel, speaker, TimeInterval(start, dur))
-        for session, channel, speaker, start, dur in _rttm_rows(stream)
-    ]
+    return list(_rttm_turns(stream))
 
 
 def emit_rttm(turns: Iterable[SpeakerTurn]) -> str:
     """Serialize turns as RTTM text, sorted by (session, start, speaker).
 
     Times on the 10 ms grid carry 2 decimals; any other time carries the
-    exact milliseconds in 3 decimals, so every file re-parses to the same
-    turns.
+    exact milliseconds in 3 decimals.  A turn whose line would not re-parse
+    to the same turn is a ValidationError: an empty session, channel or
+    speaker or one with whitespace, a negative start, or a non-positive
+    duration.  So every file written re-parses to the same turns.
     """
     ordered = sorted(turns, key=lambda t: (t.session, t.interval.start, t.speaker))
-    lines = [
-        f"SPEAKER {t.session} {t.channel} {_rttm_seconds(t.interval.start)} "
-        f"{_rttm_seconds(t.interval.dur)} <NA> <NA> {t.speaker} <NA> <NA>"
-        for t in ordered
-    ]
-    return "".join(line + "\n" for line in lines)
+    checked: set[tuple[str, str, str]] = set()
+    lines = []
+    for session, channel, speaker, (start, dur) in ordered:
+        if (session, channel, speaker) not in checked:
+            check_id("session", session)
+            check_id("channel", channel)
+            check_id("speaker", speaker)
+            checked.add((session, channel, speaker))
+        if start < 0:
+            raise ValidationError(f"negative start time: {start} ms")
+        if dur <= 0:
+            raise ValidationError(f"non-positive duration: {dur} ms")
+        lines.append(
+            f"SPEAKER {session} {channel} {_rttm_seconds(start)} {_rttm_seconds(dur)}"
+            f" <NA> <NA> {speaker} <NA> <NA>\n"
+        )
+    return "".join(lines)
 
 
 def _rttm_seconds(ms: int) -> str:
-    """On the 10 ms grid the same text as ms_to_seconds; off it, exact 3 decimals."""
+    """Exact seconds: 2 decimals on the 10 ms grid, 3 decimals off it."""
     whole, frac = divmod(ms, 1000)
     return f"{whole}.{frac:03d}" if frac % 10 else f"{whole}.{frac // 10:02d}"
 

@@ -27,8 +27,8 @@ from typing import IO, Iterable, Mapping, NamedTuple
 import numpy as np
 
 from .errors import ParseError, ValidationError
-from .formats import TimeInterval, TranscriptEntry
-from .timeline import Diarization, _group
+from .formats import SpeakerTurn, TimeInterval, TranscriptEntry
+from .timeline import Diarization, by_session
 
 __all__ = [
     "ManifestRow",
@@ -215,8 +215,9 @@ def combine_manifests(manifests: Iterable[SegmentManifest]) -> SegmentManifest:
 
 def manifest_to_diarizations(manifest: SegmentManifest) -> dict[str, Diarization]:
     """Rebuild one Diarization per session from manifest rows."""
-    return _group(
-        (row.session, row.speaker, TimeInterval(row.start, row.dur)) for row in manifest.rows
+    return by_session(
+        SpeakerTurn(row.session, "1", row.speaker, TimeInterval(row.start, row.dur))
+        for row in manifest.rows
     )
 
 

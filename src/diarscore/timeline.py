@@ -5,6 +5,8 @@ region tiling cuts one or more diarizations of a session at every interval
 boundary so that active-speaker sets are constant within each region.  All
 interval arithmetic is closed-open [start, start + dur) on integer
 milliseconds, so regions tile the span exactly with no double counting.
+``by_session`` is the one grouper of SpeakerTurns into Diarizations: a
+parsed list, the CLI's stream of turns and manifest rows all go through it.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from __future__ import annotations
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import SessionMismatchError, ValidationError
-from .formats import RttmRow, SpeakerTurn, TimeInterval, check_id
+from .formats import SpeakerTurn, TimeInterval, check_id
 
 __all__ = [
     "Diarization",
@@ -21,7 +23,6 @@ __all__ = [
     "build_regions",
     "joint_regions",
     "pairwise_overlap",
-    "sessions_from_rows",
 ]
 
 
@@ -116,10 +117,11 @@ class Diarization:
         return f"Diarization({self.session!r}, {len(self._speakers)} speakers)"
 
 
-def _group(items: Iterable[tuple[str, str, TimeInterval]]) -> dict[str, Diarization]:
-    """One Diarization per session, in session order, from (session, speaker, interval)."""
+def by_session(turns: Iterable[SpeakerTurn]) -> dict[str, Diarization]:
+    """Group turns into one Diarization per session, in session order;
+    channels are not kept."""
     sessions: dict[str, dict[str, list[TimeInterval]]] = {}
-    for session, speaker, interval in items:
+    for session, _, speaker, interval in turns:
         speakers = sessions.get(session)
         if speakers is None:
             speakers = sessions[session] = {}
@@ -128,19 +130,6 @@ def _group(items: Iterable[tuple[str, str, TimeInterval]]) -> dict[str, Diarizat
             intervals = speakers[speaker] = []
         intervals.append(interval)
     return {s: Diarization(s, speakers) for s, speakers in sorted(sessions.items())}
-
-
-def sessions_from_rows(rows: Iterable[RttmRow]) -> dict[str, Diarization]:
-    """Group (session, channel, speaker, start_ms, dur_ms) rows into one
-    Diarization per session, in session order; channels are not kept."""
-    return _group(
-        (session, speaker, TimeInterval(start, dur)) for session, _, speaker, start, dur in rows
-    )
-
-
-def by_session(turns: Iterable[SpeakerTurn]) -> dict[str, Diarization]:
-    """Group turns into one Diarization per session."""
-    return _group((t.session, t.speaker, t.interval) for t in turns)
 
 
 # total ms of each distinct (ref active set, hyp active set) of a tiling

@@ -2,6 +2,7 @@ import io
 import itertools
 import random
 import sys
+from decimal import Decimal
 
 import pytest
 from hypothesis import given, strategies as st
@@ -15,14 +16,13 @@ from diarscore.formats import (
     check_id,
     emit_rttm,
     emit_transcript,
-    ms_to_seconds,
     parse_rttm,
     parse_transcript,
     seconds_to_ms,
     split_utterance_id,
 )
 from diarscore.synth import random_turn_list
-from diarscore.timeline import Diarization, by_session, sessions_from_rows
+from diarscore.timeline import Diarization, by_session
 
 EXAMPLE_LINE = "SPEAKER S001 1 10.50 3.25 <NA> <NA> SPK01 <NA> <NA>"
 
@@ -32,17 +32,70 @@ BAD_IDS = ["", " ", "a b", "a\u3000b", "a\x1cb", "\u2028"]
 
 @pytest.mark.parametrize("bad", BAD_IDS)
 def test_turn_rejects_empty_or_whitespace_ids(bad):
+    # a turn is checked where it is written, not where it is built
+    turn = SpeakerTurn(bad, "1", "A", TimeInterval(0, 10))
     with pytest.raises(ValidationError) as exc:
-        SpeakerTurn(bad, "1", "A", TimeInterval(0, 10))
+        emit_rttm([turn])
     assert str(exc.value) == f"session must be non-empty without whitespace: {bad!r}"
     with pytest.raises(ValidationError) as exc:
-        SpeakerTurn("S1", "1", bad, TimeInterval(0, 10))
+        emit_rttm([SpeakerTurn("S1", "1", bad, TimeInterval(0, 10))])
     assert str(exc.value) == f"speaker must be non-empty without whitespace: {bad!r}"
+
+
+@pytest.mark.parametrize("channel", ["", "a b"])
+def test_emit_refuses_a_channel_it_cannot_read_back(channel):
+    # written as is, "" shifts the times by one field and "a b" puts 'b' in the start column
+    with pytest.raises(ValidationError) as exc:
+        emit_rttm([SpeakerTurn("S1", channel, "A", TimeInterval(1000, 500))])
+    assert str(exc.value) == f"channel must be non-empty without whitespace: {channel!r}"
+
+
+@pytest.mark.parametrize(
+    "interval,message",
+    [
+        (TimeInterval(-1, 500), "negative start time: -1 ms"),
+        (TimeInterval(0, 0), "non-positive duration: 0 ms"),
+        (TimeInterval(0, -500), "non-positive duration: -500 ms"),
+    ],
+)
+def test_emit_refuses_times_it_cannot_read_back(interval, message):
+    with pytest.raises(ValidationError) as exc:
+        emit_rttm([SpeakerTurn("S1", "1", "A", interval)])
+    assert str(exc.value) == message
+
+
+def ms_decimal(ms):
+    """Exact decimal seconds of an int, for any sign: the writer's reference."""
+    return str(Decimal(ms) / 1000)
+
+
+@given(
+    st.text(st.sampled_from("a1 \t\r\n\x1c\u3000;语"), max_size=3),
+    st.text(st.sampled_from("a1 \t\r\n\x1c\u3000;语"), max_size=3),
+    st.text(st.sampled_from("a1 \t\r\n\x1c\u3000;语"), max_size=3),
+    st.integers(min_value=-10, max_value=2000),
+    st.integers(min_value=-10, max_value=2000),
+)
+def test_emit_rttm_writes_exactly_the_turns_that_re_parse(session, channel, speaker, start, dur):
+    turn = SpeakerTurn(session, channel, speaker, TimeInterval(start, dur))
+    line = (
+        f"SPEAKER {session} {channel} {ms_decimal(start)} {ms_decimal(dur)}"
+        f" <NA> <NA> {speaker} <NA> <NA>\n"
+    )
+    try:  # newline=None splits lines the way a file opened in text mode does
+        reparsed = parse_rttm(io.StringIO(line, newline=None))
+    except (ParseError, ValidationError):
+        reparsed = None
+    if reparsed == [turn]:
+        assert parse_rttm(io.StringIO(emit_rttm([turn]), newline=None)) == [turn]
+    else:
+        with pytest.raises(ValidationError):
+            emit_rttm([turn])
 
 
 def test_turn_accepts_non_ascii_ids():
     turn = SpeakerTurn("会议1", "1", "说话人1", TimeInterval(0, 10))
-    assert (turn.session, turn.speaker) == ("会议1", "说话人1")
+    assert parse_rttm(io.StringIO(emit_rttm([turn]))) == [turn]
 
 
 def test_id_check_rejects_exactly_the_isspace_characters():
@@ -144,13 +197,6 @@ def test_emit_empty():
     assert emit_rttm([]) == ""
 
 
-def test_emit_rounds_half_up():
-    # 10505 ms is not representable in 2 decimals; rounds to 10.51
-    assert ms_to_seconds(10505) == "10.51"
-    assert ms_to_seconds(10504) == "10.50"
-    assert ms_to_seconds(10500) == "10.50"
-
-
 def test_emit_sorts_by_session_start_speaker():
     turns = [
         SpeakerTurn("S002", "1", "A", TimeInterval(0, 1000)),
@@ -180,7 +226,7 @@ def test_round_trip_random_turns():
 @given(st.integers(min_value=0, max_value=10**8))
 def test_seconds_ms_round_trip_on_centiseconds(ms10):
     ms = ms10 * 10 % 10**8
-    assert seconds_to_ms(ms_to_seconds(ms)) == ms
+    assert seconds_to_ms(f"{ms // 1000}.{ms % 1000 // 10:02d}") == ms
 
 
 def test_seconds_to_ms_exact():
@@ -272,40 +318,67 @@ def messy_rttm_files(rng, n_files):
     return files
 
 
+def oracle_turns(text):
+    """(session, channel, speaker, (start_ms, dur_ms)) of each SPEAKER line, by
+    plain field splitting: the reference for inputs the reader accepts."""
+    turns = []
+    for line in text.splitlines():
+        fields = line.split()
+        if fields and fields[0] == "SPEAKER":
+            start, dur = (
+                int(whole) * 1000 + int((frac + "000")[:3])
+                for whole, _, frac in (t.partition(".") for t in fields[3:5])
+            )
+            turns.append((fields[1], fields[2], fields[7], (start, dur)))
+    return turns
+
+
 def test_row_reader_and_grouping_agree_with_turns():
     rng = random.Random(5)
     for _ in range(200):
         files = messy_rttm_files(rng, rng.randint(1, 3))
-        turns = [t for text in files for t in parse_rttm(io.StringIO(text))]
-        rows = [row for text in files for row in formats._rttm_rows(io.StringIO(text))]
-        assert rows == [(t.session, t.channel, t.speaker, *t.interval) for t in turns]
-        assert sessions_from_rows(iter(rows)) == by_session(turns)
+        expected = [t for text in files for t in oracle_turns(text)]
+        turns = [t for text in files for t in formats._rttm_turns(io.StringIO(text))]
+        assert turns == expected
+        assert all(type(t) is SpeakerTurn and type(t.interval) is TimeInterval for t in turns)
+        sessions = {}
+        for session, _, speaker, interval in expected:
+            sessions.setdefault(session, {}).setdefault(speaker, []).append(interval)
+        grouped = by_session(t for text in files for t in formats._rttm_turns(io.StringIO(text)))
+        assert list(grouped) == sorted(sessions)
+        assert grouped == {s: Diarization(s, speakers) for s, speakers in sessions.items()}
 
 
 def test_row_reader_raises_like_parse_rttm():
     rng = random.Random(6)
     bad = [
-        "SPEAKER S001 1 1.00 1.00 <NA> <NA>",
-        "SPEAKER S001 1 1.0001 1.00 <NA> <NA> A <NA>",
-        "SPEAKER S001 1 1.00 -2 <NA> <NA> A <NA>",
-        "SPEAKER S001 1 1.00 0 <NA> <NA> A <NA>",
+        ("SPEAKER S001 1 1.00 1.00 <NA> <NA>", ParseError, "expected at least 9 fields, got 7"),
+        (
+            "SPEAKER S001 1 1.0001 1.00 <NA> <NA> A <NA>",
+            ParseError,
+            "not a decimal time with at most 3 fractional digits: '1.0001'",
+        ),
+        ("SPEAKER S001 1 1.00 -2 <NA> <NA> A <NA>", ValidationError, "negative time: '-2'"),
+        ("SPEAKER S001 1 1.00 0 <NA> <NA> A <NA>", ValidationError, "non-positive duration: 0 ms"),
     ]
     for _ in range(100):
         (text,) = messy_rttm_files(rng, 1)
         lines = text.splitlines(keepends=True)
-        lines.insert(rng.randint(0, len(lines)), rng.choice(bad) + "\n")
-        with pytest.raises((ParseError, ValidationError)) as from_turns:
-            parse_rttm(lines)
-        with pytest.raises(type(from_turns.value)) as from_rows:
-            list(formats._rttm_rows(lines))
-        assert str(from_rows.value) == str(from_turns.value)
-        assert getattr(from_rows.value, "line", None) == getattr(from_turns.value, "line", None)
+        at = rng.randint(0, len(lines))
+        line, error, message = rng.choice(bad)
+        lines.insert(at, line + "\n")
+        with pytest.raises(error) as exc:
+            list(formats._rttm_turns(lines))
+        assert type(exc.value) is error
+        assert str(exc.value) == f"line {at + 1}: {message}"
+        if error is ParseError:
+            assert exc.value.line == at + 1
 
 
 def test_row_reader_reads_an_open_file_lazily():
     stream = io.StringIO("SPEAKER S1 1 0.00 1.00 <NA> <NA> A <NA>\nnot read yet\n")
-    rows = formats._rttm_rows(stream)
-    assert next(rows) == ("S1", "1", "A", 0, 1000)
+    rows = formats._rttm_turns(stream)
+    assert next(rows) == SpeakerTurn("S1", "1", "A", TimeInterval(0, 1000))
     assert stream.readline() == "not read yet\n"  # only the first line was consumed
 
 
@@ -403,7 +476,7 @@ def test_emit_parse_is_identity_on_any_ms(start, dur):
     assert parse_rttm(io.StringIO(text)) == [turn]
     for ms, field in zip((start, dur), text.split()[3:5]):
         if ms % 10 == 0:  # on-grid output is unchanged: 2 decimals
-            assert field == ms_to_seconds(ms)
+            assert field == f"{ms // 1000}.{ms % 1000 // 10:02d}"
 
 
 def test_emit_keeps_off_grid_turns_apart():
