@@ -16,13 +16,12 @@ integer table.
 
 from __future__ import annotations
 
-import math
 import string
 import unicodedata
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import ValidationError
+from .errors import UndefinedMetricError, ValidationError
 
 __all__ = ["CharSeq", "EditCounts", "PUNCTUATION", "edit_counts", "edit_distance", "normalize_text"]
 
@@ -57,10 +56,10 @@ class EditCounts:
         return self.s + self.d + self.i
 
     @property
-    def cer(self) -> Fraction | float:
-        """(s + d + i) / n; +inf sentinel when n = 0 but edits exist."""
+    def cer(self) -> Fraction:
+        """(s + d + i) / n; undefined for an empty reference."""
         if self.n == 0:
-            return Fraction(0) if self.distance == 0 else math.inf
+            raise UndefinedMetricError("empty reference: CER undefined")
         return Fraction(self.distance, self.n)
 
     def __add__(self, other: "EditCounts") -> "EditCounts":

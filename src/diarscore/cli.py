@@ -55,15 +55,15 @@ S = TypeVar("S")  # one session's score
 
 
 def _parse_file(parse: Callable[[IO[str]], T], path: str) -> T:
-    """Run a parser over the lines of one open UTF-8 file."""
-    with open(path, "r", encoding="utf-8") as fh:
+    """Run a parser over the lines of one open UTF-8 file, BOM skipped."""
+    with open(path, "r", encoding="utf-8-sig") as fh:
         return parse(fh)
 
 
 def _rttm_stream(paths: Sequence[str]) -> Iterator[SpeakerTurn]:
     """Stream the SpeakerTurns of each RTTM file in turn, one open file at a time."""
     for path in paths:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             yield from _rttm_turns(fh)
 
 
@@ -266,7 +266,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--ref-rttm",
         nargs="+",
-        help="reference RTTM(s) supplying chronological order for merging",
+        help="reference RTTM(s) to check against the transcript; each speaker's"
+        " entries keep their file order, so no score changes",
     )
     p.add_argument("--hyp-trn", required=True, help="hypothesis transcript path")
     p.add_argument("--keep-punctuation", action="store_true", help="do not strip punctuation")

@@ -33,7 +33,7 @@ import numpy as np
 
 from .assignment import lexsmallest_assignment
 from .cer import CharSeq, EditCounts, edit_counts, edit_distance, normalize_text
-from .der import SpeakerMap
+from .der import SpeakerMap, _with_unmatched
 from .errors import SessionMismatchError, UndefinedMetricError, ValidationError
 from .formats import SpeakerTurn, TranscriptEntry
 
@@ -104,6 +104,11 @@ def attach_order_from_rttm(
     The k-th transcript entry of a (session, speaker) pair, in file order,
     is matched to that pair's k-th turn in start order.  Pairs whose entry
     and turn counts disagree keep their file order, with a warning.
+
+    The new keys therefore rise in file order within each pair, and the
+    stable sort in ``concat_by_speaker`` keeps file order either way: this
+    cannot change any stream or score.  It only checks the turns against
+    the entry counts.
     """
     turn_starts: dict[tuple[str, str], list[int]] = {}
     for t in sorted(turns, key=lambda t: (t.session, t.interval.start, t.speaker)):
@@ -140,10 +145,7 @@ class CpcerResult:
 
     @property
     def cpcer(self) -> Fraction:
-        value = self.counts.cer
-        if not isinstance(value, Fraction):
-            raise UndefinedMetricError("empty reference: cpCER undefined")
-        return value
+        return self.counts.cer
 
 
 def _pad(names: Sequence[str], texts: Sequence[str], size: int) -> tuple[list[str | None], list[str]]:
@@ -228,22 +230,11 @@ def compute_cpcer(ref: SpeakerText, hyp: SpeakerText, mode: str = "assignment") 
         cols = best if best is not None else []
     counts = EditCounts(0, 0, 0, 0)
     pairs = []
-    unmatched_ref = []
-    unmatched_hyp = []
     for i, j in enumerate(cols):
         counts = counts + edit_counts(r_texts[i], h_texts[j])
-        r_name, h_name = r_names[i], h_names[j]
-        if r_name is not None and h_name is not None:
-            pairs.append((r_name, h_name))
-        elif r_name is not None:
-            unmatched_ref.append(r_name)
-        elif h_name is not None:
-            unmatched_hyp.append(h_name)
-    assignment = SpeakerMap(
-        pairs=tuple(sorted(pairs)),
-        unmatched_ref=tuple(sorted(unmatched_ref)),
-        unmatched_hyp=tuple(sorted(unmatched_hyp)),
-    )
+        if r_names[i] is not None and h_names[j] is not None:
+            pairs.append((r_names[i], h_names[j]))
+    assignment = _with_unmatched(sorted(pairs), ref_names, hyp_names)
     return CpcerResult(assignment=assignment, counts=counts)
 
 

@@ -80,7 +80,7 @@ class TranscriptEntry:
 
     @property
     def utterance_id(self) -> str:
-        return join_utterance_id(self.speaker, self.session)
+        return f"{self.speaker}_{self.session}"
 
 
 def seconds_to_ms(text: str) -> int:
@@ -107,10 +107,6 @@ def seconds_to_ms(text: str) -> int:
     if sign and ms != 0:
         raise ValidationError(f"negative time: {text!r}")
     return ms
-
-
-def join_utterance_id(speaker: str, session: str) -> str:
-    return f"{speaker}_{session}"
 
 
 def split_utterance_id(uid: str) -> tuple[str, str]:

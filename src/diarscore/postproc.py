@@ -27,8 +27,8 @@ from typing import IO, Iterable, Mapping, NamedTuple
 import numpy as np
 
 from .errors import ParseError, ValidationError
-from .formats import SpeakerTurn, TimeInterval, TranscriptEntry
-from .timeline import Diarization, by_session
+from .formats import TimeInterval, TranscriptEntry, check_id
+from .timeline import Diarization
 
 __all__ = [
     "ManifestRow",
@@ -38,7 +38,6 @@ __all__ = [
     "binarize_probs",
     "build_manifest",
     "combine_manifests",
-    "manifest_to_diarizations",
     "parse_manifest",
     "parse_matrix",
     "parse_texts",
@@ -127,14 +126,6 @@ def _parse_rows(body: list[str], width: int, first_lineno: int) -> np.ndarray:
     return np.array(rows, dtype=np.float64) if rows else np.empty((0, width))
 
 
-def emit_matrix(matrix: ProbabilityMatrix) -> str:
-    """Serialize a matrix, each probability as the shortest text that re-parses to it."""
-    lines = [" ".join([matrix.session, str(matrix.frame_ms), *matrix.speakers])]
-    for row in matrix.values.tolist():
-        lines.append(" ".join(map(repr, row)))
-    return "".join(line + "\n" for line in lines)
-
-
 def binarize_probs(matrix: ProbabilityMatrix, threshold: float = 0.5) -> Diarization:
     """Maximal runs of frames with probability >= threshold become intervals."""
     if not 0.0 < threshold < 1.0:
@@ -186,16 +177,20 @@ class ManifestRow(NamedTuple):
 
 @dataclass(frozen=True)
 class SegmentManifest:
-    """Utterance identifiers sorted by (session, start, speaker)."""
+    """Distinct utterance identifiers sorted by (session, start, speaker)."""
 
     rows: tuple[ManifestRow, ...]
 
     def __post_init__(self):
+        seen: set[ManifestRow] = set()
         for row in self.rows:
             if row.start < 0:
                 raise ValidationError(f"negative start time in manifest row: {row}")
             if row.dur <= 0:
                 raise ValidationError(f"non-positive duration in manifest row: {row}")
+            if row in seen:
+                raise ValidationError(f"repeated manifest row: {row}")
+            seen.add(row)
         ordered = tuple(sorted(self.rows, key=lambda r: (r.session, r.start, r.speaker)))
         object.__setattr__(self, "rows", ordered)
 
@@ -213,17 +208,20 @@ def combine_manifests(manifests: Iterable[SegmentManifest]) -> SegmentManifest:
     return SegmentManifest(rows=tuple(r for m in manifests for r in m.rows))
 
 
-def manifest_to_diarizations(manifest: SegmentManifest) -> dict[str, Diarization]:
-    """Rebuild one Diarization per session from manifest rows."""
-    return by_session(
-        SpeakerTurn(row.session, "1", row.speaker, TimeInterval(row.start, row.dur))
-        for row in manifest.rows
-    )
-
-
 def emit_manifest(manifest: SegmentManifest) -> str:
+    """Serialize a manifest as TSV under its header line.
+
+    A row whose session or speaker ID is empty or holds whitespace is a
+    ValidationError, as in ``emit_rttm``: such an ID cannot come from RTTM,
+    one with a tab or line break would not re-parse, and ``assemble`` could
+    not write any of them.  So every manifest written re-parses to the same
+    rows.
+    """
     lines = ["\t".join(MANIFEST_HEADER)]
-    lines += [f"{r.session}\t{r.speaker}\t{r.start}\t{r.dur}" for r in manifest.rows]
+    for r in manifest.rows:
+        check_id("session", r.session)
+        check_id("speaker", r.speaker)
+        lines.append(f"{r.session}\t{r.speaker}\t{r.start}\t{r.dur}")
     return "".join(line + "\n" for line in lines)
 
 
@@ -253,7 +251,10 @@ def parse_manifest(stream: IO[str] | Iterable[str]) -> SegmentManifest:
 
 
 def parse_texts(stream: IO[str] | Iterable[str]) -> dict[ManifestRow, str]:
-    """Parse the per-row decoded-text file (manifest columns plus text)."""
+    """Parse the per-row decoded-text file (manifest columns plus text).
+
+    A row given twice is a ParseError at the line of the repeat.
+    """
     texts: dict[ManifestRow, str] = {}
     for lineno, raw in enumerate(stream, 1):
         line = raw.rstrip("\r\n")
@@ -264,7 +265,10 @@ def parse_texts(stream: IO[str] | Iterable[str]) -> dict[ManifestRow, str]:
             continue
         if len(fields) != 5:
             raise ParseError(f"expected 5 tab-separated fields, got {len(fields)}", line=lineno)
-        texts[_manifest_row(fields, lineno)] = fields[4]
+        row = _manifest_row(fields, lineno)
+        if row in texts:
+            raise ParseError(f"repeated row: {row}", line=lineno)
+        texts[row] = fields[4]
     return texts
 
 

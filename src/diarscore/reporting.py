@@ -2,20 +2,15 @@
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from typing import Sequence
 
 
-def percent(value: Fraction | float) -> str:
+def percent(value: Fraction) -> str:
     """Format a ratio as a percentage with 2 decimals, rounding half-up.
 
     Computed on the exact Fraction, so e.g. 13.085% prints as 13.09.
     """
-    if isinstance(value, float):
-        if math.isinf(value):
-            return "inf"
-        value = Fraction(value)
     hundredths = value * 10_000
     scaled = (2 * hundredths.numerator + hundredths.denominator) // (2 * hundredths.denominator)
     return f"{scaled // 100}.{scaled % 100:02d}"

@@ -22,11 +22,11 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import IO, Iterable
+from typing import Iterable
 
 from .cpcer import concat_by_speaker
 from .errors import InjectionError, ValidationError
-from .formats import SpeakerTurn, TimeInterval, TranscriptEntry
+from .formats import TimeInterval, TranscriptEntry
 from .timeline import Diarization, joint_regions
 
 __all__ = [
@@ -36,8 +36,6 @@ __all__ = [
     "corrupt_diarization",
     "corrupt_text",
     "generate_session",
-    "parse_ledger",
-    "random_turn_list",
     "write_ledger",
 ]
 
@@ -164,20 +162,6 @@ def _realized_ratios(d: Diarization) -> tuple[Fraction, Fraction]:
             multi += interval.dur
     overlap = Fraction(multi, union) if union else Fraction(0)
     return overlap, Fraction(extent.dur - union, extent.dur)
-
-
-def random_turn_list(seed: int, max_sessions: int = 3, max_turns: int = 30) -> list[SpeakerTurn]:
-    """Random validated turns with 2-decimal-expressible times, emit-ordered."""
-    rng = random.Random(seed)
-    turns = []
-    for s in range(rng.randint(1, max_sessions)):
-        session = f"S{s + 1:03d}"
-        for _ in range(rng.randint(1, max_turns)):
-            start = rng.randrange(0, 3_600_000, 10)
-            dur = rng.randrange(10, 12_000, 10)
-            speaker = f"SPK{rng.randint(1, 6):02d}"
-            turns.append(SpeakerTurn(session, "1", speaker, TimeInterval(start, dur)))
-    return sorted(turns, key=lambda t: (t.session, t.interval.start, t.speaker))
 
 
 def _carve(
@@ -395,14 +379,3 @@ def write_ledger(
     if text is not None:
         lines += [f"sub\t{text.sub}", f"del\t{text.delete}", f"ins\t{text.insert}"]
     return "".join(line + "\n" for line in lines)
-
-
-def parse_ledger(stream: IO[str] | Iterable[str]) -> dict[str, int]:
-    amounts = {}
-    for raw in stream:
-        line = raw.strip()
-        if not line:
-            continue
-        kind, _, value = line.partition("\t")
-        amounts[kind] = int(value)
-    return amounts

@@ -6,7 +6,7 @@ boundary so that active-speaker sets are constant within each region.  All
 interval arithmetic is closed-open [start, start + dur) on integer
 milliseconds, so regions tile the span exactly with no double counting.
 ``by_session`` is the one grouper of SpeakerTurns into Diarizations: a
-parsed list, the CLI's stream of turns and manifest rows all go through it.
+parsed list and the CLI's stream of turns both go through it.
 """
 
 from __future__ import annotations
@@ -71,10 +71,6 @@ class Diarization:
 
     def items(self):
         return self._speakers.items()
-
-    def total_speech(self) -> int:
-        """Sum of all speakers' speech durations in ms (overlap counted per speaker)."""
-        return sum(iv.dur for ivs in self._speakers.values() for iv in ivs)
 
     def extent(self) -> TimeInterval | None:
         """Smallest interval covering all speech, or None when empty."""

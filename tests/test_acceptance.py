@@ -21,9 +21,9 @@ from diarscore.synth import (
     corrupt_diarization,
     corrupt_text,
     generate_session,
-    random_turn_list,
 )
 from diarscore.timeline import Diarization
+from support import random_turn_list, total_speech
 
 # Published (FA, MISS, SPKERR, DER) percentages for three baseline
 # modality mixes; the visual row's printed total is 0.01 below its
@@ -72,7 +72,7 @@ def test_diarization_rows_arithmetic_identity():
                 speakers=3, duration_ms=160_000, overlap=0.05, silence=0.2, seed=seed
             )
             ref = sess.diarization
-            total = ref.total_speech()
+            total = total_speech(ref)
             inject = [round(p * total / 100) for p in (fa_p, miss_p, spkerr_p)]
             hyp, _ = corrupt_diarization(
                 ref, fa_ms=inject[0], miss_ms=inject[1], spkerr_ms=inject[2], seed=11
@@ -180,7 +180,7 @@ def test_ledger_recovery_loops():
                 speakers=k, duration_ms=40_000 + (trial % 5) * 8_000, silence=0.2, seed=trial
             )
             ref = sess.diarization
-            total = ref.total_speech()
+            total = total_speech(ref)
             fa = (trial * 37) % (total // 10)
             miss = (trial * 53) % (total // 10)
             spkerr = (trial * 71) % (total // 12)

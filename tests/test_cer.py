@@ -1,4 +1,3 @@
-import math
 import random
 from fractions import Fraction
 
@@ -6,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from diarscore.cer import EditCounts, edit_counts, edit_distance, normalize_text
-from diarscore.errors import ValidationError
+from diarscore.errors import UndefinedMetricError, ValidationError
 
 
 def oracle_distance(a: str, b: str) -> int:
@@ -69,8 +68,9 @@ def test_edit_counts_examples():
 def test_cer_values():
     assert edit_counts("你好世界", "你好地界").cer == Fraction(1, 4)
     assert edit_counts("ab", "").cer == Fraction(1)
-    assert edit_counts("", "").cer == Fraction(0)
-    assert edit_counts("", "x").cer == math.inf
+    for hyp in ("", "x"):
+        with pytest.raises(UndefinedMetricError, match=r"^empty reference: CER undefined$"):
+            edit_counts("", hyp).cer
 
 
 def test_tie_break_prefers_substitution():

@@ -10,6 +10,7 @@ from diarscore import __version__
 from diarscore.cli import main
 from diarscore.formats import emit_rttm, emit_transcript, parse_rttm, parse_transcript
 from diarscore.synth import generate_session
+from support import total_speech
 
 
 @pytest.fixture
@@ -410,7 +411,7 @@ def test_synth_ledger_matches_scoring_through_files(capsys, tmp_path):
     )
     assert code == 0
     ref_text = (out / "ref.rttm").read_text(encoding="utf-8")
-    total = by_session(parse_rttm(io.StringIO(ref_text)))["S0001"].total_speech()
+    total = total_speech(by_session(parse_rttm(io.StringIO(ref_text)))["S0001"])
     row = [ln for ln in report.splitlines() if ln.startswith("S0001")][0].split()
     assert row[1:4] == [percent(Fraction(v, total)) for v in (800, 600, 400)]
 
@@ -429,7 +430,7 @@ def test_overall_row_is_duration_weighted(capsys, tmp_path):
         ref_turns += sess.diarization.to_turns()
         hyp_turns += hyp.to_turns()
         injected.append(fa)
-        totals.append(sess.diarization.total_speech())
+        totals.append(total_speech(sess.diarization))
     ref = tmp_path / "ref.rttm"
     hyp_p = tmp_path / "hyp.rttm"
     ref.write_text(emit_rttm(ref_turns), encoding="utf-8")
@@ -543,3 +544,104 @@ def test_cli_import_does_not_load_scipy():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+SYNTH_SEED_3 = ["--seed", 3, "--fa-ms", 500, "--miss-ms", 300, "--spkerr-ms", 200,
+                "--sub", 10, "--del", 6, "--ins", 4]
+
+
+@pytest.fixture
+def synth_files(capsys, tmp_path):
+    """The synth seed-3 files plus a manifest, a texts file and a probability matrix."""
+    out = tmp_path / "plain"
+    assert run(capsys, "synth", "--out-dir", out, *SYNTH_SEED_3)[0] == 0
+    assert run(capsys, "manifest", out / "ref.rttm", "-o", out / "manifest.tsv")[0] == 0
+    lines = (out / "manifest.tsv").read_text(encoding="utf-8").splitlines()
+    texts = [lines[0] + "\ttext"] + [f"{ln}\t语{k}" for k, ln in enumerate(lines[1:])]
+    (out / "texts.tsv").write_text("".join(ln + "\n" for ln in texts), encoding="utf-8")
+    rows = [f"{k % 3 / 2} {k % 5 / 4}\n" for k in range(200)]
+    (out / "probs.txt").write_text("S1 10 A B\n" + "".join(rows), encoding="utf-8")
+    return out
+
+
+SCORE_CPCER = ["score-cpcer", "--ref-trn", "ref.trn", "--ref-rttm", "ref.rttm",
+               "--hyp-trn", "hyp.trn"]
+ASSEMBLE = ["assemble", "--manifest", "manifest.tsv", "--texts", "texts.tsv"]
+
+
+@pytest.mark.parametrize(
+    "argv,bom_input",
+    [
+        (["score-der", "--ref", "ref.rttm", "--hyp", "hyp.rttm"], "ref.rttm"),
+        (["score-der", "--ref", "ref.rttm", "--hyp", "hyp.rttm"], "hyp.rttm"),
+        (SCORE_CPCER, "ref.trn"),
+        (SCORE_CPCER, "hyp.trn"),
+        (SCORE_CPCER, "ref.rttm"),
+        (["binarize", "probs.txt"], "probs.txt"),
+        (ASSEMBLE, "manifest.tsv"),
+        (ASSEMBLE, "texts.tsv"),
+    ],
+    ids=lambda v: v if isinstance(v, str) else v[0],
+)
+def test_a_byte_order_mark_changes_nothing(capsys, caplog, synth_files, argv, bom_input):
+    bom_file = synth_files.parent / "bom" / bom_input
+    bom_file.parent.mkdir()
+    bom_file.write_bytes(b"\xef\xbb\xbf" + (synth_files / bom_input).read_bytes())
+    results = []
+    for paths in ({}, {bom_input: bom_file}):
+        caplog.clear()
+        with caplog.at_level("WARNING"):
+            result = run(capsys, *[paths.get(a, synth_files / a if "." in a else a) for a in argv])
+        results.append((result, [r.getMessage() for r in caplog.records]))
+    assert results[0][0][0] == 0
+    assert results[1] == results[0]
+
+
+@pytest.mark.parametrize(
+    "manifest_rows,texts_rows,stderr",
+    [
+        # the row of equal sort key between the repeats keeps them apart after the sort
+        (
+            ["S1\tA\t0\t100", "S1\tA\t0\t50", "S1\tA\t200\t100", "S1\tA\t0\t100"],
+            ["S1\tA\t0\t100\thello", "S1\tA\t200\t100\tworld"],
+            "error: repeated manifest row:"
+            " ManifestRow(session='S1', speaker='A', start=0, dur=100)\n",
+        ),
+        (
+            ["S1\tA\t0\t100", "S1\tA\t200\t100"],
+            ["S1\tA\t0\t100\thello", "S1\tA\t200\t100\tworld", "S1\tA\t200\t100\tWORLD"],
+            "error: line 3: repeated row:"
+            " ManifestRow(session='S1', speaker='A', start=200, dur=100)\n",
+        ),
+    ],
+    ids=["manifest", "texts"],
+)
+def test_assemble_refuses_a_repeated_row(capsys, tmp_path, manifest_rows, texts_rows, stderr):
+    manifest = tmp_path / "manifest.tsv"
+    manifest.write_text(
+        "".join(f"{ln}\n" for ln in ["session\tspeaker\tstart_ms\tdur_ms", *manifest_rows]),
+        encoding="utf-8",
+    )
+    texts = tmp_path / "texts.tsv"
+    texts.write_text("".join(f"{ln}\n" for ln in texts_rows), encoding="utf-8")
+    assert run(capsys, "assemble", "--manifest", manifest, "--texts", texts) == (1, "", stderr)
+
+
+def test_ref_rttm_cannot_change_a_cpcer(capsys, caplog, synth_files):
+    import random
+
+    lines = (synth_files / "ref.trn").read_text(encoding="utf-8").splitlines(keepends=True)
+    random.Random(0).shuffle(lines)
+    shuffled = synth_files / "shuffled.trn"
+    shuffled.write_text("".join(lines), encoding="utf-8")
+    argv = ["score-cpcer", "--hyp-trn", synth_files / "hyp.trn"]
+    with caplog.at_level("WARNING"):
+        _, in_order, _ = run(capsys, *argv, "--ref-trn", synth_files / "ref.trn")
+        outputs = [
+            run(capsys, *argv, "--ref-trn", shuffled, *extra)
+            for extra in ([], ["--ref-rttm", synth_files / "ref.rttm"])
+        ]
+    assert caplog.records == []
+    assert outputs[0] == outputs[1]
+    assert outputs[0][0] == 0
+    assert outputs[0][1] != in_order  # the shuffle itself does change the score

@@ -207,7 +207,9 @@ def test_shared_vocabulary_aligns_fewer_than_all_cells(monkeypatch, speakers, le
     assert len(calls) < speakers * speakers
 
 
-def test_attach_order_from_rttm_reorders_reference():
+def test_attach_order_from_rttm_keys_rise_in_file_order():
+    # the k-th entry gets the k-th smallest start, so concat_by_speaker's
+    # stable sort keeps file order: the RTTM cannot reorder a stream
     turns = [
         SpeakerTurn("S1", "1", "A", TimeInterval(9000, 1000)),
         SpeakerTurn("S1", "1", "A", TimeInterval(2000, 1000)),

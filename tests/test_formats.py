@@ -21,8 +21,8 @@ from diarscore.formats import (
     seconds_to_ms,
     split_utterance_id,
 )
-from diarscore.synth import random_turn_list
 from diarscore.timeline import Diarization, by_session
+from support import random_turn_list
 
 EXAMPLE_LINE = "SPEAKER S001 1 10.50 3.25 <NA> <NA> SPK01 <NA> <NA>"
 
@@ -221,6 +221,13 @@ def test_round_trip_random_turns():
     for seed in range(25):
         turns = random_turn_list(seed)
         assert parse_rttm(io.StringIO(emit_rttm(turns))) == turns
+
+
+def test_random_turn_list_is_deterministic_and_sorted():
+    turns = random_turn_list(seed=4)
+    assert turns == random_turn_list(seed=4)
+    keys = [(t.session, t.interval.start, t.speaker) for t in turns]
+    assert keys == sorted(keys)
 
 
 @given(st.integers(min_value=0, max_value=10**8))

@@ -18,8 +18,6 @@ from diarscore.postproc import (
     build_manifest,
     combine_manifests,
     emit_manifest,
-    emit_matrix,
-    manifest_to_diarizations,
     parse_manifest,
     parse_matrix,
     parse_texts,
@@ -34,6 +32,13 @@ def matrix(values, speakers=("A",), frame_ms=10, session="S1"):
     return ProbabilityMatrix(
         session=session, frame_ms=frame_ms, speakers=tuple(speakers), values=np.array(values)
     )
+
+
+def matrix_text(m):
+    """A matrix file, each probability as the shortest text that re-parses to it."""
+    lines = [" ".join([m.session, str(m.frame_ms), *m.speakers])]
+    lines += [" ".join(map(repr, row)) for row in m.values.tolist()]
+    return "".join(line + "\n" for line in lines)
 
 
 def test_binarize_all_ones_full_span():
@@ -116,20 +121,21 @@ def test_manifest_rows_and_order():
     assert build_manifest(Diarization("S1", {})).rows == ()
 
 
-def test_manifest_round_trips_through_diarization():
-    d = Diarization("S1", {"A": [(0, 10 * S)], "B": [(5 * S, 10 * S)]})
-    m = build_manifest(d)
-    (rebuilt,) = manifest_to_diarizations(m).values()
-    assert rebuilt == d
-    assert build_manifest(rebuilt) == m
-
-
 def test_manifest_tsv_round_trip():
     d = Diarization("S1", {"A": [(0, 10 * S)]})
     m = build_manifest(d)
     assert parse_manifest(io.StringIO(emit_manifest(m))) == m
     with pytest.raises(ParseError):
         parse_manifest(io.StringIO("not\ta\theader\tline\n"))
+
+
+@pytest.mark.parametrize("bad", ["", "a b", "a\tb", "a\nb"])
+@pytest.mark.parametrize("field", ["session", "speaker"])
+def test_emit_manifest_refuses_an_id_it_cannot_read_back(field, bad):
+    row = ManifestRow("S1", "A", 0, 10)._replace(**{field: bad})
+    with pytest.raises(ValidationError) as exc:
+        emit_manifest(SegmentManifest((row,)))
+    assert str(exc.value) == f"{field} must be non-empty without whitespace: {bad!r}"
 
 
 def test_manifest_and_texts_reject_bad_times_alike():
@@ -150,7 +156,7 @@ def test_manifest_and_texts_reject_bad_times_alike():
 
 def test_matrix_file_round_trip():
     m = matrix([[0.25, 1.0], [0.0, 0.5]], speakers=("A", "B"))
-    parsed = parse_matrix(io.StringIO(emit_matrix(m)))
+    parsed = parse_matrix(io.StringIO(matrix_text(m)))
     assert parsed.session == m.session
     assert parsed.frame_ms == m.frame_ms
     assert parsed.speakers == m.speakers
@@ -161,7 +167,7 @@ def test_matrix_round_trip_keeps_binarize_output():
     # 6 significant digits wrote 0.4999999 as 0.5, which crosses the threshold
     m = matrix([[0.4999999], [0.9]])
     assert binarize_probs(m).intervals("A") == (TimeInterval(10, 10),)
-    reparsed = parse_matrix(io.StringIO(emit_matrix(m)))
+    reparsed = parse_matrix(io.StringIO(matrix_text(m)))
     assert binarize_probs(reparsed).intervals("A") == (TimeInterval(10, 10),)
 
 
@@ -175,7 +181,7 @@ def test_matrix_round_trip_keeps_binarize_output():
 )
 def test_matrix_emit_parse_is_identity(rows):
     m = matrix(rows, speakers=[f"S{k}" for k in range(len(rows[0]))])
-    parsed = parse_matrix(io.StringIO(emit_matrix(m)))
+    parsed = parse_matrix(io.StringIO(matrix_text(m)))
     assert parsed.values.tobytes() == m.values.tobytes()
 
 
