@@ -6,11 +6,39 @@ smallest is returned.  The tie-break is folded into the cost, which makes
 the optimum unique, and one Hungarian pass (Kuhn 1955, in the
 shortest-augmenting-path form of Jonker & Volgenant 1987) finds it in
 O(n^3) steps.  Python ints keep the scaled costs exact at any size.
+
+Cost matrices are small (n is a speaker count), so the scoring code builds
+them as ``IntMatrix``: rows of Python ints, with no numpy import and no
+int64 ceiling.  The solver itself takes anything with ``.shape`` and
+``.tolist()``, so an integer ndarray works as well.
 """
 
 from __future__ import annotations
 
-import numpy as np
+
+class IntMatrix:
+    """A zero-filled rows x cols matrix of Python ints.
+
+    Offers the slice of the ndarray interface the scoring code uses:
+    ``m[i, j]`` get and set, ``.shape`` and ``.tolist()``.
+    """
+
+    __slots__ = ("shape", "_rows")
+
+    def __init__(self, rows: int, cols: int):
+        self.shape = (rows, cols)
+        self._rows = [[0] * cols for _ in range(rows)]
+
+    def __getitem__(self, index: tuple[int, int]) -> int:
+        i, j = index
+        return self._rows[i][j]
+
+    def __setitem__(self, index: tuple[int, int], value: int) -> None:
+        i, j = index
+        self._rows[i][j] = value
+
+    def tolist(self) -> list[list[int]]:
+        return [list(row) for row in self._rows]
 
 
 def _tie_broken(cost: list[list[int]], maximize: bool) -> list[list[int]]:
@@ -30,7 +58,7 @@ def _tie_broken(cost: list[list[int]], maximize: bool) -> list[list[int]]:
     ]
 
 
-def lexsmallest_assignment(cost: np.ndarray, maximize: bool = False) -> list[int]:
+def lexsmallest_assignment(cost: IntMatrix, maximize: bool = False) -> list[int]:
     """Return the column assigned to each row of a square cost matrix.
 
     Among all assignments with optimal total cost, picks the one whose

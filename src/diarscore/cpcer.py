@@ -29,9 +29,7 @@ from fractions import Fraction
 from itertools import permutations
 from typing import Iterable, Mapping, Sequence
 
-import numpy as np
-
-from .assignment import lexsmallest_assignment
+from .assignment import IntMatrix, lexsmallest_assignment
 from .cer import CharSeq, EditCounts, edit_counts, edit_distance, normalize_text
 from .der import SpeakerMap, _with_unmatched
 from .errors import SessionMismatchError, UndefinedMetricError, ValidationError
@@ -156,7 +154,7 @@ def _pad(names: Sequence[str], texts: Sequence[str], size: int) -> tuple[list[st
 
 def _histogram_bounds(
     r_texts: Sequence[str], h_texts: Sequence[str]
-) -> tuple[np.ndarray, set[tuple[int, int]]]:
+) -> tuple[IntMatrix, set[tuple[int, int]]]:
     """Lower-bound every pair's edit distance; also return the inexact cells.
 
     For character histograms c_r and c_h the bound is
@@ -174,7 +172,7 @@ def _histogram_bounds(
     """
     r_hists = [Counter(t) for t in r_texts]
     h_hists = [Counter(t) for t in h_texts]
-    cost = np.zeros((len(r_texts), len(h_texts)), dtype=np.int64)
+    cost = IntMatrix(len(r_texts), len(h_texts))
     inexact = set()
     for i, (rt, cr) in enumerate(zip(r_texts, r_hists)):
         for j, (ht, ch) in enumerate(zip(h_texts, h_hists)):
@@ -216,15 +214,14 @@ def compute_cpcer(ref: SpeakerText, hyp: SpeakerText, mode: str = "assignment") 
                 inexact.remove((i, j))
             cols = lexsmallest_assignment(cost, maximize=False)
     else:
-        cost = np.zeros((size, size), dtype=np.int64)
+        cost = IntMatrix(size, size)
         for i, rt in enumerate(r_texts):
             for j, ht in enumerate(h_texts):
                 cost[i, j] = edit_distance(rt, ht)
         best: list[int] | None = None
         best_total = None
-        row_idx = np.arange(size)
         for perm in permutations(range(size)):
-            total = int(cost[row_idx, perm].sum())
+            total = sum(cost[i, j] for i, j in enumerate(perm))
             if best_total is None or total < best_total:
                 best, best_total = list(perm), total
         cols = best if best is not None else []

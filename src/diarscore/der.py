@@ -16,9 +16,7 @@ from fractions import Fraction
 from itertools import permutations
 from typing import Iterable, Sequence
 
-import numpy as np
-
-from .assignment import lexsmallest_assignment
+from .assignment import IntMatrix, lexsmallest_assignment
 from .errors import UndefinedMetricError, ValidationError
 from .timeline import (
     Diarization,
@@ -100,7 +98,7 @@ def _speaker_map(
     n = max(len(refs), len(hyps))
     if n == 0:
         return SpeakerMap(pairs=(), unmatched_ref=(), unmatched_hyp=())
-    matrix = np.zeros((n, n), dtype=np.int64)
+    matrix = IntMatrix(n, n)
     for i, r in enumerate(refs):
         for j, h in enumerate(hyps):
             matrix[i, j] = overlap[(r, h)]

@@ -38,6 +38,12 @@ _new_tuple = tuple.__new__
 
 _TIME_RE = re.compile(r"^(-?)(\d+)(?:\.(\d{1,3}))?$")
 
+# The record types NIST RTTM defines besides SPEAKER; the reader skips these.
+_OTHER_RTTM_TYPES = frozenset(
+    "SEGMENT NOSCORE NO_RT_METADATA LEXEME NON-LEX NON-SPEECH FILLER EDIT IP CB A/P SU"
+    " SPKR-INFO".split()
+)
+
 
 class TimeInterval(NamedTuple):
     """Half-open interval [start, start + dur) in integer milliseconds."""
@@ -120,12 +126,15 @@ def split_utterance_id(uid: str) -> tuple[str, str]:
 def _rttm_turns(stream: IO[str] | Iterable[str]) -> Iterator[SpeakerTurn]:
     """Yield the validated SpeakerTurn of each SPEAKER record, in file order.
 
-    Only SPEAKER records are kept, and ``;``-comments are ignored.  Other
-    record types are skipped: the first one with a warning, and when the
-    stream ends a second warning gives the total if there was more than
-    one.  Lines with fewer than 9 fields, non-numeric times, or
-    non-positive durations raise with the offending line number.  The id
-    checks run once per distinct (session, speaker) pair.
+    Only SPEAKER records are kept, and ``;``-comments are ignored.  The
+    other record types NIST RTTM defines are skipped: the first one with a
+    warning, and when the stream ends a second warning gives the total if
+    there was more than one.  Any other first field (a transcript line, or
+    a SPEAKER behind a byte-order mark inside two joined files) is a
+    ParseError, as are lines with fewer than 9 fields and non-numeric
+    times; non-positive durations are a ValidationError.  Every error
+    carries the offending line number.  The id checks run once per
+    distinct (session, speaker) pair.
     """
     checked: set[tuple[str, str]] = set()
     skipped = 0
@@ -134,6 +143,8 @@ def _rttm_turns(stream: IO[str] | Iterable[str]) -> Iterator[SpeakerTurn]:
         if not fields or fields[0].startswith(";"):
             continue
         if fields[0] != "SPEAKER":
+            if fields[0] not in _OTHER_RTTM_TYPES:
+                raise ParseError(f"not an RTTM record type: {fields[0]!r}", line=lineno)
             if not skipped:
                 logger.warning("line %d: skipping record type %r", lineno, fields[0])
             skipped += 1
@@ -167,9 +178,10 @@ def _rttm_turns(stream: IO[str] | Iterable[str]) -> Iterator[SpeakerTurn]:
 def parse_rttm(stream: IO[str] | Iterable[str]) -> list[SpeakerTurn]:
     """Parse RTTM text into SpeakerTurns, preserving file order.
 
-    The list of what the streaming reader yields: other record types are
-    skipped with at most two warnings, ``;``-comments are ignored, and
-    malformed lines raise with their line number.
+    The list of what the streaming reader yields: the other RTTM record
+    types are skipped with at most two warnings, ``;``-comments are
+    ignored, and unknown record types and malformed lines raise with their
+    line number.
     """
     return list(_rttm_turns(stream))
 

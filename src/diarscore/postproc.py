@@ -7,6 +7,10 @@ identifier (session, speaker, start, duration), and re-assembly of decoded
 per-utterance text into one chronologically merged transcript entry per
 speaker.
 
+Only the probability matrix is an array: numpy is imported inside the
+functions that read and threshold it, so importing this module (and every
+command but ``binarize``) does not load numpy.
+
 External file formats
 ---------------------
 Probability matrix (UTF-8 text): header line ``<session> <frame_ms>
@@ -22,13 +26,14 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import IO, Iterable, Mapping, NamedTuple
-
-import numpy as np
+from typing import IO, TYPE_CHECKING, Iterable, Mapping, NamedTuple
 
 from .errors import ParseError, ValidationError
 from .formats import TimeInterval, TranscriptEntry, check_id
 from .timeline import Diarization
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "ManifestRow",
@@ -61,6 +66,8 @@ class ProbabilityMatrix:
             raise ValidationError(f"frame_ms must be positive: {self.frame_ms}")
         if len(set(self.speakers)) != len(self.speakers):
             raise ValidationError("duplicate speaker ids in matrix")
+        import numpy as np
+
         values = np.asarray(self.values, dtype=np.float64)
         if values.ndim != 2 or values.shape[1] != len(self.speakers):
             raise ValidationError(
@@ -79,6 +86,8 @@ def parse_matrix(stream: IO[str] | Iterable[str]) -> ProbabilityMatrix:
     the per-line parser instead, which returns the same values or raises a
     line-numbered ParseError.
     """
+    import numpy as np
+
     lines = list(stream)
     for lineno, raw in enumerate(lines, 1):
         if raw.strip():
@@ -112,6 +121,8 @@ def parse_matrix(stream: IO[str] | Iterable[str]) -> ProbabilityMatrix:
 
 def _parse_rows(body: list[str], width: int, first_lineno: int) -> np.ndarray:
     """Per-line matrix body parser: ``str.split`` and ``float()`` per field."""
+    import numpy as np
+
     rows = []
     for lineno, raw in enumerate(body, first_lineno):
         if not raw.strip():
@@ -130,6 +141,8 @@ def binarize_probs(matrix: ProbabilityMatrix, threshold: float = 0.5) -> Diariza
     """Maximal runs of frames with probability >= threshold become intervals."""
     if not 0.0 < threshold < 1.0:
         raise ValidationError(f"threshold must lie strictly inside (0, 1): {threshold}")
+    import numpy as np
+
     speakers: dict[str, list[TimeInterval]] = {}
     for k, spk in enumerate(matrix.speakers):
         mask = np.concatenate(([False], matrix.values[:, k] >= threshold, [False]))

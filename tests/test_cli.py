@@ -1,4 +1,5 @@
 import io
+import json
 import os
 import subprocess
 import sys
@@ -529,21 +530,63 @@ def test_invalid_utf8_rttm_from_every_command(capsys, tmp_path):
         assert run(capsys, *argv)[::2] == (1, expected), argv
 
 
-def test_cli_import_does_not_load_scipy():
-    # interpreter start-up is most of a short scoring job; scipy alone cost
-    # several times the rest of the package's imports
+NO_ARRAY_LIBS = """
+import contextlib, io, json, sys
+import diarscore.cli
+
+def loaded():
+    return sorted(m for m in ("numpy", "scipy") if m in sys.modules)
+
+report = [["import", loaded()]]
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        code = diarscore.cli.main(argv)
+    report.append([argv[0], code, loaded(), out.getvalue()])
+print(json.dumps(report))
+"""
+
+
+def test_cli_import_does_not_load_scipy(synth_files):
+    # interpreter start-up is most of a short scoring job; scipy and then
+    # numpy each cost more than the rest of the package's imports.  Only
+    # binarize does array work, so only binarize may load numpy.
+    (synth_files / "ones.txt").write_text("S1 10 A B\n" + "1.0 1.0\n" * 40, encoding="utf-8")
+    score_der = ["score-der", "--ref", "ref.rttm", "--hyp", "hyp.rttm"]
+    commands = [
+        score_der,
+        score_der + ["--brute-force"],
+        SCORE_CPCER,
+        SCORE_CPCER + ["--brute-force"],
+        ["fuse", "ref.rttm", "hyp.rttm", "ref.rttm", "-o", "fused.rttm"],
+        ["manifest", "ref.rttm", "-o", "manifest2.tsv"],
+        ASSEMBLE + ["-o", "assembled.trn"],
+        ["synth", "--out-dir", "again", *SYNTH_SEED_3],
+        ["binarize", "ones.txt", "--max-gap", 0, "--min-dur", 0],
+    ]
+    argvs = [[str(a) for a in argv] for argv in commands]
     src = str(Path(__file__).resolve().parent.parent / "src")
     path = os.environ.get("PYTHONPATH")
     env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
     proc = subprocess.run(
-        [sys.executable, "-c", "import sys, diarscore.cli; print('scipy' in sys.modules)"],
+        [sys.executable, "-c", NO_ARRAY_LIBS, json.dumps(argvs)],
+        cwd=synth_files,
         env=env,
         capture_output=True,
         text=True,
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    report = json.loads(proc.stdout)
+    assert report[0] == ["import", []]
+    for argv, (name, code, libs, _) in zip(argvs[:-1], report[1:-1]):
+        assert (name, code, libs) == (argv[0], 0, []), argv
+    assert report[-1] == [
+        "binarize",
+        0,
+        ["numpy"],
+        "SPEAKER S1 1 0.00 0.40 <NA> <NA> A <NA> <NA>\n"
+        "SPEAKER S1 1 0.00 0.40 <NA> <NA> B <NA> <NA>\n",
+    ]
 
 
 SYNTH_SEED_3 = ["--seed", 3, "--fa-ms", 500, "--miss-ms", 300, "--spkerr-ms", 200,
@@ -595,6 +638,21 @@ def test_a_byte_order_mark_changes_nothing(capsys, caplog, synth_files, argv, bo
         results.append((result, [r.getMessage() for r in caplog.records]))
     assert results[0][0][0] == 0
     assert results[1] == results[0]
+
+
+def test_a_byte_order_mark_inside_a_joined_rttm_is_refused(capsys, synth_files):
+    # two BOM-prefixed halves joined with cat: only the opening mark is
+    # stripped, and the inner one used to cost a turn with only a warning
+    lines = (synth_files / "ref.rttm").read_bytes().splitlines(keepends=True)
+    half = len(lines) // 2
+    joined = synth_files / "joined.rttm"
+    joined.write_bytes(b"".join([b"\xef\xbb\xbf", *lines[:half], b"\xef\xbb\xbf", *lines[half:]]))
+    argv = ["score-der", "--ref", joined, "--hyp", synth_files / "hyp.rttm"]
+    assert run(capsys, *argv) == (
+        1,
+        "",
+        f"error: line {half + 1}: not an RTTM record type: '\\ufeffSPEAKER'\n",
+    )
 
 
 @pytest.mark.parametrize(

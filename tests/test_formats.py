@@ -138,14 +138,37 @@ def test_parse_skips_non_speaker_records_with_warning(caplog):
     assert "LEXEME" in caplog.text
 
 
-def test_non_rttm_input_warns_once_plus_a_total(caplog):
-    # a transcript read as RTTM: every line is a record of some other type
+def test_non_rttm_input_fails_at_line_1(caplog):
+    # a transcript read as RTTM: its first field is no RTTM record type
     text = "".join(f"SPK01_S0001 utterance number {k}\n" for k in range(50))
+    with caplog.at_level("WARNING"), pytest.raises(ParseError) as exc:
+        parse_rttm(io.StringIO(text))
+    assert exc.value.line == 1
+    assert str(exc.value) == "line 1: not an RTTM record type: 'SPK01_S0001'"
+    assert caplog.records == []
+
+
+def test_other_record_types_warn_once_plus_a_total(caplog):
+    kinds = sorted(formats._OTHER_RTTM_TYPES)
+    text = "".join(
+        f"{kinds[k % len(kinds)]} S001 1 1.00 1.00 <NA> <NA> SPK01 <NA> <NA>\n" for k in range(50)
+    )
     with caplog.at_level("WARNING"):
-        assert parse_rttm(io.StringIO(text)) == []
-    assert len(caplog.records) <= 2
-    assert "line 1: skipping record type 'SPK01_S0001'" in caplog.text
-    assert "skipped 50 records" in caplog.text
+        assert parse_rttm(io.StringIO(text + EXAMPLE_LINE + "\n")) == parse_rttm([EXAMPLE_LINE])
+    assert [r.getMessage() for r in caplog.records] == [
+        f"line 1: skipping record type {kinds[0]!r}",
+        "skipped 50 records that are not SPEAKER",
+    ]
+
+
+def test_a_speaker_record_behind_a_byte_order_mark_is_refused():
+    # utf-8-sig strips only the mark that opens a file; one inside a joined
+    # file used to turn its SPEAKER line into a skipped record type
+    text = EXAMPLE_LINE + "\n\ufeff" + EXAMPLE_LINE + "\n"
+    with pytest.raises(ParseError) as exc:
+        parse_rttm(io.StringIO(text))
+    assert exc.value.line == 2
+    assert str(exc.value) == "line 2: not an RTTM record type: '\\ufeffSPEAKER'"
 
 
 def test_parse_skips_comments_and_blank_lines():
