@@ -62,6 +62,12 @@ class EditCounts:
             raise UndefinedMetricError("empty reference: CER undefined")
         return Fraction(self.distance, self.n)
 
+    def rate(self, component: str) -> Fraction:
+        """One count ("s", "d" or "i") as a fraction of the reference length."""
+        if self.n == 0:
+            raise UndefinedMetricError("empty reference: rate undefined")
+        return Fraction(getattr(self, component), self.n)
+
     def __add__(self, other: "EditCounts") -> "EditCounts":
         return EditCounts(self.s + other.s, self.d + other.d, self.i + other.i, self.n + other.n)
 

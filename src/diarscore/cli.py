@@ -22,7 +22,7 @@ from typing import IO, Callable, Iterator, Mapping, Sequence, TypeVar
 from . import __version__
 from .cpcer import aggregate_counts, attach_order_from_rttm, compute_cpcer, concat_by_speaker
 from .der import aggregate_der, brute_force_der, score_der
-from .errors import DiarscoreError, ValidationError
+from .errors import DiarscoreError, UndefinedMetricError, ValidationError
 from .formats import (
     SpeakerTurn,
     TranscriptEntry,
@@ -94,7 +94,9 @@ def _report_scores(
     ``score(session, ref, hyp)`` gives one session's result, ``aggregate``
     pools the results into OVERALL, and ``rates`` gives the four rates of a
     result, named by ``columns``.  Stdout gets the version and tunable
-    header lines and the aligned table; ``--tsv`` gets the same rows.
+    header lines and the aligned table; ``--tsv`` gets the same rows.  A
+    session whose rates are undefined is an error that names it, raised
+    right after it is scored, before anything is written.
     """
     common = sorted(refs.keys() & hyps.keys())
     for missing in sorted(refs.keys() - hyps.keys()):
@@ -103,10 +105,22 @@ def _report_scores(
         logger.warning("session %s has no reference; not scored", missing)
     if not common:
         raise ValidationError("no overlapping sessions between reference and hypothesis")
-    results = [score(s, refs[s], hyps[s]) for s in common]
-    labelled = [*zip(common, results), ("OVERALL", aggregate(results))]
+
+    def row(label: str, result: S) -> list[str]:
+        # the one place an undefined rate becomes an error
+        try:
+            return [label, *map(percent, rates(result))]
+        except UndefinedMetricError:
+            raise UndefinedMetricError(f"session {label!r} has an empty reference") from None
+
+    results = []
+    rows = []
+    for session in common:
+        result = score(session, refs[session], hyps[session])
+        results.append(result)
+        rows.append(row(session, result))
+    rows.append(row("OVERALL", aggregate(results)))
     headers = ["Session", *columns]
-    rows = [[label, *map(percent, rates(result))] for label, result in labelled]
     header_lines = f"# diarscore {__version__} {args.command}\n"
     header_lines += "".join(f"# {tunable}\n" for tunable in tunables)
     sys.stdout.write(header_lines + render_aligned(headers, rows))
@@ -158,7 +172,7 @@ def _cmd_score_cpcer(args) -> int:
         score,
         aggregate_counts,
         ["S", "D", "I", "cpCER"],
-        lambda c: (Fraction(c.s, c.n), Fraction(c.d, c.n), Fraction(c.i, c.n), c.cer),
+        lambda c: (c.rate("s"), c.rate("d"), c.rate("i"), c.cer),
     )
 
 

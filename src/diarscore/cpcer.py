@@ -32,7 +32,7 @@ from typing import Iterable, Mapping, Sequence
 from .assignment import IntMatrix, lexsmallest_assignment
 from .cer import CharSeq, EditCounts, edit_counts, edit_distance, normalize_text
 from .der import SpeakerMap, _with_unmatched
-from .errors import SessionMismatchError, UndefinedMetricError, ValidationError
+from .errors import SessionMismatchError, ValidationError
 from .formats import SpeakerTurn, TranscriptEntry
 
 logger = logging.getLogger(__name__)
@@ -198,8 +198,6 @@ def compute_cpcer(ref: SpeakerText, hyp: SpeakerText, mode: str = "assignment") 
         raise SessionMismatchError(f"{ref.session!r} vs {hyp.session!r}")
     if mode not in ("assignment", "brute-force"):
         raise ValidationError(f"unknown mode: {mode!r}")
-    if ref.total_chars() == 0:
-        raise UndefinedMetricError(f"session {ref.session!r} has an empty reference")
     ref_names = sorted(ref.streams)
     hyp_names = sorted(hyp.streams)
     size = max(len(ref_names), len(hyp_names))

@@ -6,7 +6,9 @@ speaker mapping maximizes total paired overlap; a factorial brute-force
 route over all injective maps is kept as an independent oracle.
 
 All durations are integer milliseconds and the rate is an exact Fraction,
-so component sums are identities rather than float approximations.
+so component sums are identities rather than float approximations.  Every
+session is scored to its counts, one without reference speech included;
+only its rates (``DerBreakdown.der`` and ``.rate``) are undefined.
 """
 
 from __future__ import annotations
@@ -40,7 +42,10 @@ __all__ = [
 
 @dataclass(frozen=True)
 class DerBreakdown:
-    """FA/MISS/SPKERR durations (ms), total reference speech, and the rate."""
+    """FA/MISS/SPKERR durations (ms), total reference speech, and the rate.
+
+    The rates raise UndefinedMetricError when total is 0.
+    """
 
     fa: int
     miss: int
@@ -137,12 +142,6 @@ def _breakdown(totals: _ActivityTotals, pairs: Iterable[tuple[str, str]]) -> Der
     return DerBreakdown(fa=fa, miss=miss, spkerr=spkerr, total=total)
 
 
-def _require_speech(breakdown: DerBreakdown, ref: Diarization) -> DerBreakdown:
-    if breakdown.total == 0:
-        raise UndefinedMetricError(f"session {ref.session!r} has no reference speech")
-    return breakdown
-
-
 def compute_der(ref: Diarization, hyp: Diarization, speaker_map: SpeakerMap) -> DerBreakdown:
     """Score a hypothesis against a reference under a fixed speaker map.
 
@@ -155,7 +154,7 @@ def compute_der(ref: Diarization, hyp: Diarization, speaker_map: SpeakerMap) -> 
         TOTAL  += dur * n_ref
     """
     totals = _activity_totals(build_regions(ref, hyp))
-    return _require_speech(_breakdown(totals, speaker_map.pairs), ref)
+    return _breakdown(totals, speaker_map.pairs)
 
 
 def score_der(ref: Diarization, hyp: Diarization) -> tuple[SpeakerMap, DerBreakdown]:
@@ -167,7 +166,7 @@ def score_der(ref: Diarization, hyp: Diarization) -> tuple[SpeakerMap, DerBreakd
     """
     totals = _activity_totals(build_regions(ref, hyp))
     speaker_map = _speaker_map(_overlap(totals, ref, hyp), ref, hyp)
-    return speaker_map, _require_speech(_breakdown(totals, speaker_map.pairs), ref)
+    return speaker_map, _breakdown(totals, speaker_map.pairs)
 
 
 def brute_force_der(ref: Diarization, hyp: Diarization) -> tuple[SpeakerMap, DerBreakdown]:
@@ -196,7 +195,6 @@ def brute_force_der(ref: Diarization, hyp: Diarization) -> tuple[SpeakerMap, Der
     if best is None:  # both sides empty of speakers
         best = (_breakdown(totals, ()), ())
     breakdown, pairs = best
-    _require_speech(breakdown, ref)
     overlap = _overlap(totals, ref, hyp)
     kept = sorted((r, h) for r, h in pairs if overlap[(r, h)] > 0)
     return _with_unmatched(kept, refs, hyps), breakdown

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import logging
 import re
+import unicodedata
 from dataclasses import dataclass
 from typing import IO, Iterable, Iterator, NamedTuple
 
@@ -57,13 +58,36 @@ class TimeInterval(NamedTuple):
 
 
 def check_id(what: str, value: str) -> None:
-    """Reject an empty id or one with whitespace, which RTTM cannot carry.
+    """Reject an empty id, one with whitespace, or one with an invisible character.
 
     ``str.split()`` splits on exactly the characters ``str.isspace()``
-    accepts, so an id passes iff it splits into itself alone.
+    accepts, so an id has no whitespace iff it splits into itself alone.
+    RTTM cannot carry whitespace in an id.  Control and format characters
+    (Unicode categories Cc and Cf, such as U+FEFF or U+200B) would make an
+    id that looks like another one a different speaker or session.
     """
     if not value or value.split() != [value]:
         raise ValidationError(f"{what} must be non-empty without whitespace: {value!r}")
+    # no Cc or Cf character is printable, so a printable id skips the lookups
+    if not value.isprintable() and any(
+        unicodedata.category(ch) in ("Cc", "Cf") for ch in value
+    ):
+        raise ValidationError(f"{what} must not hold control or format characters: {value!r}")
+
+
+def _check_line_ids(session: str, speaker: str, lineno: int, checked: set[tuple[str, str]]) -> None:
+    """check_id on one input line's session and speaker, once per distinct pair.
+
+    A rejected id is a ParseError at that line.
+    """
+    if (session, speaker) in checked:
+        return
+    try:
+        check_id("session", session)
+        check_id("speaker", speaker)
+    except ValidationError as exc:
+        raise ParseError(str(exc), line=lineno) from None
+    checked.add((session, speaker))
 
 
 class SpeakerTurn(NamedTuple):
@@ -226,9 +250,11 @@ def parse_transcript(stream: IO[str] | Iterable[str]) -> list[TranscriptEntry]:
 
     The first whitespace run separates the ID from the text; the text keeps
     any further internal whitespace verbatim.  order_key is the 0-based
-    index among parsed entries.
+    index among parsed entries.  A session or speaker that ``check_id``
+    rejects is a ParseError at its line.
     """
     entries = []
+    checked: set[tuple[str, str]] = set()
     for lineno, raw in enumerate(stream, 1):
         line = raw.rstrip("\r\n")
         if not line.strip():
@@ -244,6 +270,7 @@ def parse_transcript(stream: IO[str] | Iterable[str]) -> list[TranscriptEntry]:
             speaker, session = split_utterance_id(uid)
         except ParseError as exc:
             raise ParseError(str(exc), line=lineno) from None
+        _check_line_ids(session, speaker, lineno, checked)
         entries.append(
             TranscriptEntry(speaker=speaker, session=session, text=text, order_key=len(entries))
         )

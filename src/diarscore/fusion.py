@@ -5,7 +5,10 @@ union of everything merged so far (the first input seeds the label space).
 Over the joint region tiling, each label's vote is the weight sum of the
 channels where it is active; the expected concurrent-speaker count is the
 weighted mean of the channels' active counts, rounded half-up, and that
-many top-voted labels win the region.
+many top-voted labels win the region (the weighted-mean rule of DOVER-Lap,
+Raj et al., SLT 2021).  The weights are scaled to the smallest positive
+integers with the same ratios, so every vote and the rounding are integer
+arithmetic.
 """
 
 from __future__ import annotations
@@ -48,31 +51,30 @@ def relabel_to_reference(base: Diarization, other: Diarization) -> Diarization:
     return other.relabel(mapping)
 
 
-def _round_half_up(x: Fraction) -> int:
-    return math.floor(x + Fraction(1, 2))
-
-
 def fuse_channels(
     inputs: Sequence[Diarization], weights: Sequence[Fraction | int | float] | None = None
 ) -> Diarization:
     """Fuse channel-wise diarization estimates of one session into one.
 
-    weights default to equal and are normalized to sum to 1; they must all
-    be positive.  Fusing one input, or several identical ones, returns the
-    input unchanged.
+    weights default to equal, must all be positive and count only by their
+    ratios.  Fusing one input, or several identical ones, returns the input
+    unchanged.
     """
     if not inputs:
         raise ValidationError("no diarizations to fuse")
     if weights is None:
-        norm = [Fraction(1, len(inputs))] * len(inputs)
+        scaled = [1] * len(inputs)
     else:
         if len(weights) != len(inputs):
             raise ValidationError("one weight per input required")
         fracs = [Fraction(w) for w in weights]
         if any(w <= 0 for w in fracs):
             raise ValidationError("weights must be positive")
-        total = sum(fracs)
-        norm = [w / total for w in fracs]
+        common = math.lcm(*(w.denominator for w in fracs))
+        scaled = [w.numerator * (common // w.denominator) for w in fracs]
+        divisor = math.gcd(*scaled)
+        scaled = [w // divisor for w in scaled]
+    total = sum(scaled)
 
     relabeled = [inputs[0]]
     accumulated = inputs[0]
@@ -83,13 +85,15 @@ def fuse_channels(
 
     speakers: dict[str, list[TimeInterval]] = {}
     for interval, active_sets in joint_regions(relabeled):
-        votes: dict[str, Fraction] = {}
-        expected = Fraction(0)
-        for weight, active in zip(norm, active_sets):
-            expected += weight * len(active)
+        # votes and weighted are total times the normalized votes and expected
+        # count, so floor(weighted / total + 1/2) rounds the count half-up
+        votes: dict[str, int] = {}
+        weighted = 0
+        for weight, active in zip(scaled, active_sets):
+            weighted += weight * len(active)
             for label in active:
-                votes[label] = votes.get(label, Fraction(0)) + weight
-        winners_count = _round_half_up(expected)
+                votes[label] = votes.get(label, 0) + weight
+        winners_count = (2 * weighted + total) // (2 * total)
         if winners_count == 0:
             continue
         ranked = sorted(votes, key=lambda label: (-votes[label], label))

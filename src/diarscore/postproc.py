@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from typing import IO, TYPE_CHECKING, Iterable, Mapping, NamedTuple
 
 from .errors import ParseError, ValidationError
-from .formats import TimeInterval, TranscriptEntry, check_id
+from .formats import TimeInterval, TranscriptEntry, _check_line_ids, check_id
 from .timeline import Diarization
 
 if TYPE_CHECKING:
@@ -238,16 +238,24 @@ def emit_manifest(manifest: SegmentManifest) -> str:
     return "".join(line + "\n" for line in lines)
 
 
-def _manifest_row(fields: list[str], lineno: int) -> ManifestRow:
-    """The ManifestRow of the first four fields of one manifest or texts line."""
+def _manifest_row(fields: list[str], lineno: int, checked: set[tuple[str, str]]) -> ManifestRow:
+    """The ManifestRow of the first four fields of one manifest or texts line.
+
+    A non-integer time, or a session or speaker that ``check_id`` rejects,
+    is a ParseError at that line; ``checked`` holds the (session, speaker)
+    pairs already checked.
+    """
     try:
-        return ManifestRow(fields[0], fields[1], int(fields[2]), int(fields[3]))
+        row = ManifestRow(fields[0], fields[1], int(fields[2]), int(fields[3]))
     except ValueError:
         raise ParseError(f"non-integer time in {fields!r}", line=lineno) from None
+    _check_line_ids(row.session, row.speaker, lineno, checked)
+    return row
 
 
 def parse_manifest(stream: IO[str] | Iterable[str]) -> SegmentManifest:
     rows = []
+    checked: set[tuple[str, str]] = set()
     for lineno, raw in enumerate(stream, 1):
         line = raw.rstrip("\r\n")
         if lineno == 1:
@@ -259,7 +267,7 @@ def parse_manifest(stream: IO[str] | Iterable[str]) -> SegmentManifest:
         fields = line.split("\t")
         if len(fields) != 4:
             raise ParseError(f"expected 4 tab-separated fields, got {len(fields)}", line=lineno)
-        rows.append(_manifest_row(fields, lineno))
+        rows.append(_manifest_row(fields, lineno, checked))
     return SegmentManifest(rows=tuple(rows))
 
 
@@ -269,6 +277,7 @@ def parse_texts(stream: IO[str] | Iterable[str]) -> dict[ManifestRow, str]:
     A row given twice is a ParseError at the line of the repeat.
     """
     texts: dict[ManifestRow, str] = {}
+    checked: set[tuple[str, str]] = set()
     for lineno, raw in enumerate(stream, 1):
         line = raw.rstrip("\r\n")
         if not line.strip():
@@ -278,7 +287,7 @@ def parse_texts(stream: IO[str] | Iterable[str]) -> dict[ManifestRow, str]:
             continue
         if len(fields) != 5:
             raise ParseError(f"expected 5 tab-separated fields, got {len(fields)}", line=lineno)
-        row = _manifest_row(fields, lineno)
+        row = _manifest_row(fields, lineno, checked)
         if row in texts:
             raise ParseError(f"repeated row: {row}", line=lineno)
         texts[row] = fields[4]

@@ -73,6 +73,16 @@ def test_cer_values():
             edit_counts("", hyp).cer
 
 
+def test_rate_values():
+    counts = EditCounts(s=1, d=2, i=3, n=8)
+    rates = [counts.rate(c) for c in ("s", "d", "i")]
+    assert rates == [Fraction(1, 8), Fraction(1, 4), Fraction(3, 8)]
+    assert sum(counts.rate(c) for c in ("s", "d", "i")) == counts.cer
+    for c in ("s", "d", "i"):
+        with pytest.raises(UndefinedMetricError, match=r"^empty reference: rate undefined$"):
+            EditCounts(0, 0, 2, 0).rate(c)
+
+
 def test_tie_break_prefers_substitution():
     # "abc" -> "acY" could be del(b)+ins(Y) or sub(b->c)+sub(c->Y); both
     # cost 2, and the fixed traceback order picks the substitution path

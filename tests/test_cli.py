@@ -703,3 +703,60 @@ def test_ref_rttm_cannot_change_a_cpcer(capsys, caplog, synth_files):
     assert outputs[0] == outputs[1]
     assert outputs[0][0] == 0
     assert outputs[0][1] != in_order  # the shuffle itself does change the score
+
+
+def test_a_byte_order_mark_inside_a_joined_transcript_is_refused(capsys, synth_files):
+    # the inner mark used to make speaker '\ufeffSPK..' a stream of its own, with exit 0
+    lines = (synth_files / "ref.trn").read_bytes().splitlines(keepends=True)
+    half = len(lines) // 2
+    joined = synth_files / "joined.trn"
+    joined.write_bytes(b"".join([b"\xef\xbb\xbf", *lines[:half], b"\xef\xbb\xbf", *lines[half:]]))
+    speaker = lines[half].decode("utf-8").split("_")[0]
+    argv = ["score-cpcer", "--ref-trn", joined, "--hyp-trn", synth_files / "hyp.trn"]
+    assert run(capsys, *argv) == (
+        1,
+        "",
+        f"error: line {half + 1}: speaker must not hold control or format characters:"
+        f" {chr(0xFEFF) + speaker!r}\n",
+    )
+
+
+@pytest.mark.parametrize(
+    "manifest_rows,texts_rows,stderr",
+    [
+        (
+            ["S1\tA\t0\t100", "S 1\tA\t200\t100"],
+            ["S1\tA\t0\t100\thello"],
+            "error: line 3: session must be non-empty without whitespace: 'S 1'\n",
+        ),
+        (
+            ["S1\tA\t0\t100"],
+            ["S1\tA\t0\t100\thello", "S1\tA\u200b\t200\t100\tworld"],
+            "error: line 2: speaker must not hold control or format characters: 'A\\u200b'\n",
+        ),
+    ],
+    ids=["manifest", "texts"],
+)
+def test_assemble_checks_ids_at_their_line(capsys, tmp_path, manifest_rows, texts_rows, stderr):
+    # a bad ID used to pass the parsers and fail in assemble, without a line number
+    manifest = tmp_path / "manifest.tsv"
+    manifest.write_text(
+        "".join(f"{ln}\n" for ln in ["session\tspeaker\tstart_ms\tdur_ms", *manifest_rows]),
+        encoding="utf-8",
+    )
+    texts = tmp_path / "texts.tsv"
+    texts.write_text("".join(f"{ln}\n" for ln in texts_rows), encoding="utf-8")
+    assert run(capsys, "assemble", "--manifest", manifest, "--texts", texts) == (1, "", stderr)
+
+
+def test_an_empty_reference_session_is_an_error(capsys, tmp_path):
+    # S2's reference is punctuation only: its counts exist, its rates do not
+    ref = tmp_path / "ref.trn"
+    hyp = tmp_path / "hyp.trn"
+    tsv = tmp_path / "out.tsv"
+    ref.write_text("SPK01_S1 你好\nSPK01_S2 。\nSPK01_S3 再见\n", encoding="utf-8")
+    hyp.write_text("SPK01_S1 你好\nSPK01_S2 世界\nSPK01_S3 再见\n", encoding="utf-8")
+    for extra in ([], ["--brute-force"]):
+        argv = ["score-cpcer", "--ref-trn", ref, "--hyp-trn", hyp, "--tsv", tsv, *extra]
+        assert run(capsys, *argv) == (1, "", "error: session 'S2' has an empty reference\n")
+        assert not tsv.exists()

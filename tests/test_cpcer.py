@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from diarscore import cpcer
-from diarscore.cer import edit_distance
+from diarscore.cer import EditCounts, edit_distance
 from diarscore.cpcer import (
     SpeakerText,
     attach_order_from_rttm,
@@ -86,8 +86,18 @@ def test_cpcer_empty_hypothesis_is_all_deletions():
 
 
 def test_cpcer_rejects_empty_reference():
-    with pytest.raises(UndefinedMetricError):
-        compute_cpcer(SpeakerText("S1", {}), SpeakerText("S1", {"A": "x"}))
+    # the insertions are counted; only the rate of an empty reference is undefined
+    hyp = SpeakerText("S1", {"B": "xy", "C": "z"})
+    for mode in ("assignment", "brute-force"):
+        for ref in (SpeakerText("S1", {}), SpeakerText("S1", {"A": ""})):
+            result = compute_cpcer(ref, hyp, mode=mode)
+            assert result.counts == EditCounts(s=0, d=0, i=3, n=0)
+            with pytest.raises(UndefinedMetricError, match=r"^empty reference: CER undefined$"):
+                result.cpcer
+            with pytest.raises(UndefinedMetricError, match=r"^empty reference: rate undefined$"):
+                result.counts.rate("i")
+        empty = SpeakerText("S1", {})
+        assert compute_cpcer(empty, empty, mode=mode).counts == EditCounts(0, 0, 0, 0)
 
 
 def test_cpcer_session_mismatch():

@@ -65,10 +65,16 @@ def test_compute_der_region_example():
 
 
 def test_der_requires_reference_speech():
+    # the counts exist without reference speech; only the rates are undefined
     ref = Diarization("S1", {})
     hyp = Diarization("S1", {"X": [(0, S)]})
-    with pytest.raises(UndefinedMetricError):
-        compute_der(ref, hyp, SpeakerMap((), (), ("X",)))
+    breakdown = compute_der(ref, hyp, SpeakerMap((), (), ("X",)))
+    assert breakdown == DerBreakdown(fa=S, miss=0, spkerr=0, total=0)
+    with pytest.raises(UndefinedMetricError, match=r"^no reference speech: DER undefined$"):
+        breakdown.der
+    for component in ("fa", "miss", "spkerr"):
+        with pytest.raises(UndefinedMetricError, match=r"^no reference speech: rate undefined$"):
+            breakdown.rate(component)
 
 
 def test_permutation_invariance_of_hyp_labels():
@@ -162,13 +168,7 @@ diar_st = st.builds(
 @given(diar_st, diar_st)
 def test_score_der_equals_map_then_compute(ref, hyp):
     smap = optimal_speaker_map(ref, hyp)
-    try:
-        expected = (smap, compute_der(ref, hyp, smap))
-    except UndefinedMetricError:
-        with pytest.raises(UndefinedMetricError):
-            score_der(ref, hyp)
-        return
-    assert score_der(ref, hyp) == expected
+    assert score_der(ref, hyp) == (smap, compute_der(ref, hyp, smap))
 
 
 @settings(max_examples=100, deadline=None)
@@ -179,8 +179,15 @@ def test_score_der_rate_equals_brute_force(ref, hyp):
 
 
 def test_score_der_requires_reference_speech():
-    hyp = Diarization("S1", {"X": [(0, S)]})
-    with pytest.raises(UndefinedMetricError, match="'S1' has no reference speech"):
-        score_der(Diarization("S1", {}), hyp)
-    with pytest.raises(UndefinedMetricError):
-        score_der(Diarization("S1", {}), Diarization("S1", {}))
+    # both scorers return the counts of a session without reference speech
+    hyp = Diarization("S1", {"X": [(0, S)], "Y": [(2 * S, 3 * S)]})
+    empty = Diarization("S1", {})
+    for scorer in (score_der, brute_force_der):
+        for other, fa in ((hyp, 4 * S), (empty, 0)):
+            smap, breakdown = scorer(empty, other)
+            assert smap == SpeakerMap((), (), other.speaker_ids)
+            assert breakdown == DerBreakdown(fa=fa, miss=0, spkerr=0, total=0)
+            with pytest.raises(UndefinedMetricError):
+                breakdown.der
+            with pytest.raises(UndefinedMetricError):
+                breakdown.rate("fa")

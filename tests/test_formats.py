@@ -2,6 +2,7 @@ import io
 import itertools
 import random
 import sys
+import unicodedata
 from decimal import Decimal
 
 import pytest
@@ -98,15 +99,35 @@ def test_turn_accepts_non_ascii_ids():
     assert parse_rttm(io.StringIO(emit_rttm([turn]))) == [turn]
 
 
-def test_id_check_rejects_exactly_the_isspace_characters():
+def test_id_check_rejects_exactly_whitespace_control_and_format_characters():
     for code in range(0x110000):
         c = chr(code)
+        invisible = unicodedata.category(c) in ("Cc", "Cf")
         try:
             check_id("id", c)
-        except ValidationError:
-            assert c.isspace(), hex(code)
+        except ValidationError as exc:
+            if c.isspace():
+                assert str(exc) == f"id must be non-empty without whitespace: {c!r}"
+            else:
+                assert invisible, hex(code)
+                assert str(exc) == f"id must not hold control or format characters: {c!r}"
         else:
-            assert not c.isspace(), hex(code)
+            assert not (c.isspace() or invisible), hex(code)
+
+
+@pytest.mark.parametrize("bad", ["SPK01\u200b", "SPK01\ufeff", "\ufeffSPK01", "a\u2060b", "a\x00"])
+def test_id_check_rejects_invisible_characters(bad):
+    with pytest.raises(ValidationError, match="must not hold control or format characters"):
+        check_id("speaker", bad)
+
+
+@pytest.mark.parametrize("uid", ["\ufeffSPK01_S1", "SPK01\u200b_S1", "SPK01_S1\x7f"])
+def test_transcript_ids_are_checked_at_their_line(uid):
+    text = f"SPK01_S1 你好\nSPK02_S1 世界\n{uid} 再见\n"
+    with pytest.raises(ParseError) as exc:
+        parse_transcript(io.StringIO(text))
+    assert exc.value.line == 3
+    assert "must not hold control or format characters" in str(exc.value)
 
 
 def test_parse_example_line():

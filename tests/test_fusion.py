@@ -1,13 +1,15 @@
+import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from diarscore.der import compute_der, optimal_speaker_map
 from diarscore.errors import ValidationError
 from diarscore.formats import TimeInterval
 from diarscore.fusion import fuse_channels, relabel_to_reference
 from diarscore.synth import generate_session
-from diarscore.timeline import Diarization
+from diarscore.timeline import Diarization, joint_regions
 
 S = 1000
 
@@ -120,3 +122,56 @@ def test_fuse_validates_inputs():
         fuse_channels([d], weights=[1, 2])
     with pytest.raises(ValidationError):
         fuse_channels([d, d], weights=[1, -1])
+
+
+def fraction_vote_fuse(inputs, weights):
+    """The voting with normalized Fraction weights that the integer votes replace."""
+    fracs = [Fraction(w) for w in weights]
+    norm = [w / sum(fracs) for w in fracs]
+    relabeled = [inputs[0]]
+    accumulated = inputs[0]
+    for d in inputs[1:]:
+        harmonized = relabel_to_reference(accumulated, d)
+        relabeled.append(harmonized)
+        accumulated = accumulated.merged_with(harmonized)
+    speakers = {}
+    for interval, active_sets in joint_regions(relabeled):
+        votes = {}
+        expected = Fraction(0)
+        for weight, active in zip(norm, active_sets):
+            expected += weight * len(active)
+            for label in active:
+                votes[label] = votes.get(label, Fraction(0)) + weight
+        count = math.floor(expected + Fraction(1, 2))
+        ranked = sorted(votes, key=lambda label: (-votes[label], label))
+        for label in ranked[:count]:
+            speakers.setdefault(label, []).append(interval)
+    return Diarization(inputs[0].session, speakers)
+
+
+channel_st = st.builds(
+    lambda m: Diarization("S1", m),
+    st.dictionaries(
+        st.sampled_from(["A", "B", "C", "D"]),
+        st.lists(
+            st.tuples(st.integers(0, 30), st.integers(1, 10)).map(
+                lambda t: (t[0] * 100, t[1] * 100)
+            ),
+            max_size=4,
+        ),
+        max_size=3,
+    ),
+)
+weight_st = st.one_of(
+    st.integers(1, 6),
+    st.floats(min_value=0.01, max_value=10.0, allow_nan=False),
+    st.fractions(min_value=Fraction(1, 50), max_value=5),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(channel_st, min_size=1, max_size=4), st.data())
+def test_integer_votes_equal_fraction_votes(inputs, data):
+    weights = data.draw(st.lists(weight_st, min_size=len(inputs), max_size=len(inputs)))
+    assert fuse_channels(inputs, weights) == fraction_vote_fuse(inputs, weights)
+    assert fuse_channels(inputs) == fraction_vote_fuse(inputs, [1] * len(inputs))
