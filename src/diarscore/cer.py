@@ -1,11 +1,11 @@
 """Character-level alignment and error counting.
 
-Text is normalized to NFC, whitespace is always removed, and a fixed
-punctuation table is stripped by default; what remains is scored one code
-point per token (so each CJK character is one token).  Alignment is
-unit-cost Levenshtein; when several minimum-cost alignments exist the
-traceback prefers substitution over deletion over insertion, making the
-S/D/I split deterministic.
+Format characters are dropped, text is normalized to NFC, whitespace is
+always removed, and a fixed punctuation table is stripped by default; what
+remains is scored one code point per token (so each CJK character is one
+token).  Alignment is unit-cost Levenshtein; when several minimum-cost
+alignments exist the traceback prefers substitution over deletion over
+insertion, making the S/D/I split deterministic.
 
 The DP table is computed one hypothesis column at a time as bit vectors
 over the reference positions (Myers' bit-parallel algorithm on Python
@@ -73,7 +73,15 @@ class EditCounts:
 
 
 def normalize_text(raw: str, strip_punctuation: bool = True) -> CharSeq:
-    """NFC-normalize, drop all whitespace, optionally drop punctuation."""
+    """Drop format characters, NFC-normalize, drop all whitespace, optionally punctuation.
+
+    Format characters (Unicode category Cf, such as U+200B or U+FEFF) are
+    invisible, so a text scores as it would without them.  They go before
+    NFC, so the characters on either side compose as in the clean text.
+    """
+    # no Cf character is printable, so printable text skips the lookups
+    if not raw.isprintable():
+        raw = "".join(ch for ch in raw if unicodedata.category(ch) != "Cf")
     text = unicodedata.normalize("NFC", raw)
     return "".join(
         ch for ch in text if not ch.isspace() and not (strip_punctuation and ch in PUNCTUATION)

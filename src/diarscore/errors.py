@@ -2,17 +2,22 @@
 
 
 class DiarscoreError(ValueError):
-    """Base class for all toolkit errors."""
+    """Base class for all toolkit errors.
 
-
-class ParseError(DiarscoreError):
-    """Malformed input file (carries a line number when one is known)."""
+    An error about one line of an input file carries that line's number in
+    ``line`` and renders as ``line N: <message>``.  Helpers raise without a
+    line; the reader that read the line re-raises the same class with it.
+    """
 
     def __init__(self, message: str, line: int | None = None):
         if line is not None:
             message = f"line {line}: {message}"
         super().__init__(message)
         self.line = line
+
+
+class ParseError(DiarscoreError):
+    """Malformed input file."""
 
 
 class ValidationError(DiarscoreError):

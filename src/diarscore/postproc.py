@@ -28,8 +28,8 @@ import warnings
 from dataclasses import dataclass
 from typing import IO, TYPE_CHECKING, Iterable, Mapping, NamedTuple
 
-from .errors import ParseError, ValidationError
-from .formats import TimeInterval, TranscriptEntry, _check_line_ids, check_id
+from .errors import DiarscoreError, ParseError, ValidationError
+from .formats import TimeInterval, TranscriptEntry, _check_ids, check_id
 from .timeline import Diarization
 
 if TYPE_CHECKING:
@@ -62,10 +62,7 @@ class ProbabilityMatrix:
     values: np.ndarray  # frames x speakers, each in [0, 1]
 
     def __post_init__(self):
-        if self.frame_ms <= 0:
-            raise ValidationError(f"frame_ms must be positive: {self.frame_ms}")
-        if len(set(self.speakers)) != len(self.speakers):
-            raise ValidationError("duplicate speaker ids in matrix")
+        _check_header(self.session, self.frame_ms, self.speakers)
         import numpy as np
 
         values = np.asarray(self.values, dtype=np.float64)
@@ -78,13 +75,26 @@ class ProbabilityMatrix:
         object.__setattr__(self, "values", values)
 
 
+def _check_header(session: str, frame_ms: int, speakers: tuple[str, ...]) -> None:
+    """A positive frame length, distinct speakers, and ids ``check_id`` accepts."""
+    if frame_ms <= 0:
+        raise ValidationError(f"frame_ms must be positive: {frame_ms}")
+    if len(set(speakers)) != len(speakers):
+        raise ValidationError("duplicate speaker ids in matrix")
+    check_id("session", session)
+    for speaker in speakers:
+        check_id("speaker", speaker)
+
+
 def parse_matrix(stream: IO[str] | Iterable[str]) -> ProbabilityMatrix:
     """Parse the one-header-line probability matrix format.
 
     The body is read by numpy's C text reader.  Input it rejects (syntax
     that only Python's ``float()`` accepts, or a malformed row) goes through
     the per-line parser instead, which returns the same values or raises a
-    line-numbered ParseError.
+    line-numbered ParseError.  A header that breaks the ProbabilityMatrix
+    contract is refused at its line; a probability outside [0, 1] is a
+    ValidationError without one.
     """
     import numpy as np
 
@@ -103,6 +113,10 @@ def parse_matrix(stream: IO[str] | Iterable[str]) -> ProbabilityMatrix:
     except ValueError:
         raise ParseError(f"frame_ms not an integer: {header[1]!r}", line=lineno) from None
     speakers = tuple(header[2:])
+    try:
+        _check_header(session, frame_ms, speakers)
+    except DiarscoreError as exc:
+        raise type(exc)(str(exc), line=lineno) from None
     body = lines[lineno:]
     try:
         with warnings.catch_warnings():
@@ -197,15 +211,20 @@ class SegmentManifest:
     def __post_init__(self):
         seen: set[ManifestRow] = set()
         for row in self.rows:
-            if row.start < 0:
-                raise ValidationError(f"negative start time in manifest row: {row}")
-            if row.dur <= 0:
-                raise ValidationError(f"non-positive duration in manifest row: {row}")
+            _check_row(row)
             if row in seen:
                 raise ValidationError(f"repeated manifest row: {row}")
             seen.add(row)
         ordered = tuple(sorted(self.rows, key=lambda r: (r.session, r.start, r.speaker)))
         object.__setattr__(self, "rows", ordered)
+
+
+def _check_row(row: ManifestRow) -> None:
+    """A manifest row starts at or after 0 and lasts a positive time."""
+    if row.start < 0:
+        raise ValidationError(f"negative start time in manifest row: {row}")
+    if row.dur <= 0:
+        raise ValidationError(f"non-positive duration in manifest row: {row}")
 
 
 def build_manifest(d: Diarization) -> SegmentManifest:
@@ -238,23 +257,30 @@ def emit_manifest(manifest: SegmentManifest) -> str:
     return "".join(line + "\n" for line in lines)
 
 
-def _manifest_row(fields: list[str], lineno: int, checked: set[tuple[str, str]]) -> ManifestRow:
-    """The ManifestRow of the first four fields of one manifest or texts line.
+def _manifest_row(fields: list[str], checked: set[tuple[str, str]]) -> ManifestRow:
+    """The checked ManifestRow of the first four fields of one manifest or texts line.
 
-    A non-integer time, or a session or speaker that ``check_id`` rejects,
-    is a ParseError at that line; ``checked`` holds the (session, speaker)
-    pairs already checked.
+    A non-integer time is a ParseError; a session or speaker that
+    ``check_id`` rejects, a negative start or a non-positive duration is a
+    ValidationError.  ``checked`` holds the (session, speaker) pairs
+    already checked.  The caller adds the line number.
     """
     try:
         row = ManifestRow(fields[0], fields[1], int(fields[2]), int(fields[3]))
     except ValueError:
-        raise ParseError(f"non-integer time in {fields!r}", line=lineno) from None
-    _check_line_ids(row.session, row.speaker, lineno, checked)
+        raise ParseError(f"non-integer time in {fields!r}") from None
+    _check_ids(row.session, row.speaker, checked)
+    _check_row(row)
     return row
 
 
 def parse_manifest(stream: IO[str] | Iterable[str]) -> SegmentManifest:
-    rows = []
+    """Parse a manifest TSV under its header line.
+
+    A malformed or out-of-range row, and a row given twice, is refused at
+    its line.
+    """
+    rows: dict[ManifestRow, None] = {}  # an insertion-ordered set
     checked: set[tuple[str, str]] = set()
     for lineno, raw in enumerate(stream, 1):
         line = raw.rstrip("\r\n")
@@ -267,14 +293,21 @@ def parse_manifest(stream: IO[str] | Iterable[str]) -> SegmentManifest:
         fields = line.split("\t")
         if len(fields) != 4:
             raise ParseError(f"expected 4 tab-separated fields, got {len(fields)}", line=lineno)
-        rows.append(_manifest_row(fields, lineno, checked))
+        try:
+            row = _manifest_row(fields, checked)
+        except DiarscoreError as exc:
+            raise type(exc)(str(exc), line=lineno) from None
+        if row in rows:
+            raise ValidationError(f"repeated manifest row: {row}", line=lineno)
+        rows[row] = None
     return SegmentManifest(rows=tuple(rows))
 
 
 def parse_texts(stream: IO[str] | Iterable[str]) -> dict[ManifestRow, str]:
     """Parse the per-row decoded-text file (manifest columns plus text).
 
-    A row given twice is a ParseError at the line of the repeat.
+    A malformed or out-of-range row is refused at its line, and a row
+    given twice is a ParseError at the line of the repeat.
     """
     texts: dict[ManifestRow, str] = {}
     checked: set[tuple[str, str]] = set()
@@ -287,7 +320,10 @@ def parse_texts(stream: IO[str] | Iterable[str]) -> dict[ManifestRow, str]:
             continue
         if len(fields) != 5:
             raise ParseError(f"expected 5 tab-separated fields, got {len(fields)}", line=lineno)
-        row = _manifest_row(fields, lineno, checked)
+        try:
+            row = _manifest_row(fields, checked)
+        except DiarscoreError as exc:
+            raise type(exc)(str(exc), line=lineno) from None
         if row in texts:
             raise ParseError(f"repeated row: {row}", line=lineno)
         texts[row] = fields[4]

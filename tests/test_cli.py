@@ -1,3 +1,4 @@
+import contextlib
 import io
 import json
 import os
@@ -6,6 +7,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from diarscore import __version__
 from diarscore.cli import main
@@ -357,7 +359,7 @@ def test_inputs_are_parsed_from_the_open_file(capsys, tmp_path):
         ),
         (
             "S1\tA\t-500\t1000",
-            "error: negative start time in manifest row:"
+            "error: line 2: negative start time in manifest row:"
             " ManifestRow(session='S1', speaker='A', start=-500, dur=1000)\n",
         ),
     ],
@@ -488,7 +490,8 @@ BAD_RTTM = [
     ),
     (
         "SPEAKER S1 1 \uff11.00 \u0661.5 <NA> <NA> A <NA> <NA>\n",
-        None,  # non-ASCII decimal digits parse, as they always have
+        # RTTM times are ASCII decimal seconds
+        "error: line 2: not a decimal time with at most 3 fractional digits: '\uff11.00'\n",
     ),
 ]
 
@@ -662,7 +665,7 @@ def test_a_byte_order_mark_inside_a_joined_rttm_is_refused(capsys, synth_files):
         (
             ["S1\tA\t0\t100", "S1\tA\t0\t50", "S1\tA\t200\t100", "S1\tA\t0\t100"],
             ["S1\tA\t0\t100\thello", "S1\tA\t200\t100\tworld"],
-            "error: repeated manifest row:"
+            "error: line 5: repeated manifest row:"
             " ManifestRow(session='S1', speaker='A', start=0, dur=100)\n",
         ),
         (
@@ -760,3 +763,76 @@ def test_an_empty_reference_session_is_an_error(capsys, tmp_path):
         argv = ["score-cpcer", "--ref-trn", ref, "--hyp-trn", hyp, "--tsv", tsv, *extra]
         assert run(capsys, *argv) == (1, "", "error: session 'S2' has an empty reference\n")
         assert not tsv.exists()
+
+
+INVISIBLE_ARGV = {
+    "ref.rttm": lambda ref, d: ["score-der", "--ref", ref, "--hyp", d / "hyp.rttm"],
+    "ref.trn": lambda ref, d: ["score-cpcer", "--ref-trn", ref, "--hyp-trn", d / "hyp.trn"],
+}
+
+
+def run_quiet(argv):
+    """main() with stdout and stderr captured, for tests that cannot take capsys."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main([str(a) for a in argv])
+    return code, out.getvalue(), err.getvalue()
+
+
+@pytest.fixture(scope="module")
+def clean_synth(tmp_path_factory):
+    """The synth seed-3 files and the stdout each scoring command prints for them."""
+    out = tmp_path_factory.mktemp("clean")
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main([str(a) for a in ["synth", "--out-dir", out, *SYNTH_SEED_3]]) == 0
+    clean = {}
+    for name in INVISIBLE_ARGV:
+        code, stdout, _ = run_quiet(INVISIBLE_ARGV[name](out / name, out))
+        assert code == 0
+        clean[name] = stdout
+    return out, clean
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    name=st.sampled_from(sorted(INVISIBLE_ARGV)),
+    mark=st.sampled_from(["\ufeff", "\u200b", "\u2060"]),
+    # uniform positions: drawn integers lean to small values, which are all
+    # inside the first field
+    rng=st.randoms(use_true_random=True),
+)
+def test_an_invisible_character_scores_clean_or_is_refused_at_its_line(
+    clean_synth, name, mark, rng
+):
+    # format characters are not whitespace: inside a field they either leave
+    # the score alone (text, ignored fields) or make the line refusable
+    out, clean = clean_synth
+    lines = (out / name).read_text(encoding="utf-8").splitlines(keepends=True)
+    k = rng.randrange(len(lines))
+    at = rng.randint(0, len(lines[k].rstrip("\n")))
+    lines[k] = lines[k][:at] + mark + lines[k][at:]
+    marked = out / f"marked.{name}"
+    marked.write_text("".join(lines), encoding="utf-8")
+    code, stdout, stderr = run_quiet(INVISIBLE_ARGV[name](marked, out))
+    if code == 0:
+        assert stdout == clean[name]
+    else:
+        assert (code, stdout) == (1, "")
+        assert stderr.startswith(f"error: line {k + 1}: "), stderr
+
+
+@pytest.mark.parametrize(
+    "header,stderr",
+    [
+        ("S1 0 A B", "error: line 1: frame_ms must be positive: 0\n"),
+        (
+            "S1 10 A B\u200b",
+            "error: line 1: speaker must not hold control or format characters: 'B\\u200b'\n",
+        ),
+    ],
+    ids=["frame", "silent-speaker-id"],
+)
+def test_binarize_refuses_a_header_at_its_line(capsys, tmp_path, header, stderr):
+    matrix = tmp_path / "probs.txt"
+    matrix.write_text(header + "\n" + "1.0 0.0\n" * 40, encoding="utf-8")
+    assert run(capsys, "binarize", matrix) == (1, "", stderr)

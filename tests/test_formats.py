@@ -1,6 +1,7 @@
 import io
 import itertools
 import random
+import re
 import sys
 import unicodedata
 from decimal import Decimal
@@ -22,6 +23,7 @@ from diarscore.formats import (
     seconds_to_ms,
     split_utterance_id,
 )
+from diarscore.postproc import parse_manifest, parse_matrix, parse_texts
 from diarscore.timeline import Diarization, by_session
 from support import random_turn_list
 
@@ -124,9 +126,10 @@ def test_id_check_rejects_invisible_characters(bad):
 @pytest.mark.parametrize("uid", ["\ufeffSPK01_S1", "SPK01\u200b_S1", "SPK01_S1\x7f"])
 def test_transcript_ids_are_checked_at_their_line(uid):
     text = f"SPK01_S1 你好\nSPK02_S1 世界\n{uid} 再见\n"
-    with pytest.raises(ParseError) as exc:
+    with pytest.raises(ValidationError) as exc:
         parse_transcript(io.StringIO(text))
     assert exc.value.line == 3
+    assert str(exc.value).startswith("line 3: ")
     assert "must not hold control or format characters" in str(exc.value)
 
 
@@ -288,8 +291,8 @@ def test_seconds_to_ms_exact():
 
 
 def regex_seconds_to_ms(text):
-    """The regex-only time parser that the fast path must agree with."""
-    m = formats._TIME_RE.match(text)
+    """A regex time parser that seconds_to_ms must agree with."""
+    m = re.fullmatch(r"(-?)([0-9]+)(?:\.([0-9]{1,3}))?", text, re.ASCII)
     if m is None:
         raise ParseError(f"not a decimal time with at most 3 fractional digits: {text!r}")
     sign, whole, frac = m.groups()
@@ -328,6 +331,7 @@ def test_time_fast_path_agrees_with_regex():
         "0", "-0", "-0.000", "-0.001", "1.", ".5", "1.5", "1.50", "1.500", "1.5000",
         "007.010", "1.5\n", "7\n", "\u0661", "\uff11.5", "\u00b2", "1.\u0661", "",
         "9" * limit, "9" * (limit + 1), "9" * (limit + 1) + ".5", "9" * (limit - 1) + ".123",
+        "-" + "9" * limit, "-" + "9" * (limit + 1), "-0" * 2, "--1", "-.5", "-", "+1", " 1",
     ]
     texts = fixed + [random_time_text(rng) for _ in range(20_000)]
     kinds = set()
@@ -422,8 +426,7 @@ def test_row_reader_raises_like_parse_rttm():
             list(formats._rttm_turns(lines))
         assert type(exc.value) is error
         assert str(exc.value) == f"line {at + 1}: {message}"
-        if error is ParseError:
-            assert exc.value.line == at + 1
+        assert exc.value.line == at + 1
 
 
 def test_row_reader_reads_an_open_file_lazily():
@@ -475,6 +478,90 @@ def test_parse_errors_keep_line_attribute():
         parse_transcript(io.StringIO("SPK01_S001 hi\nnounderscore hi\n"))
     assert exc.value.line == 2
     assert str(exc.value) == "line 2: utterance ID without speaker_session shape: 'nounderscore'"
+
+
+GOOD_RTTM = "SPEAKER S1 1 0.00 1.00 <NA> <NA> A <NA> <NA>\n"
+MANIFEST_HEADER = "session\tspeaker\tstart_ms\tdur_ms\n"
+
+
+@pytest.mark.parametrize(
+    "parse,text,error,line,message",
+    [
+        (
+            parse_rttm,
+            GOOD_RTTM + "SPEAKER S1 1 1.00 0 <NA> <NA> A <NA> <NA>\n",
+            ValidationError, 2, "non-positive duration: 0 ms",
+        ),
+        (
+            parse_rttm,
+            GOOD_RTTM + "\nSPEAKER S1 1 1.00 1.00 <NA> <NA> A\u200b <NA> <NA>\n",
+            ValidationError, 3, "speaker must not hold control or format characters: 'A\\u200b'",
+        ),
+        (
+            parse_rttm,
+            GOOD_RTTM + "SPEAKER S1 1 \uff11.50 1.00 <NA> <NA> A <NA> <NA>\n",
+            ParseError, 2, "not a decimal time with at most 3 fractional digits: '\uff11.50'",
+        ),
+        (
+            parse_transcript,
+            "SPK01_S1 你好\nnounderscore 世界\n",
+            ParseError, 2, "utterance ID without speaker_session shape: 'nounderscore'",
+        ),
+        (
+            parse_transcript,
+            "SPK01_S1 你好\nSPK01\u200b_S1 世界\n",
+            ValidationError, 2,
+            "speaker must not hold control or format characters: 'SPK01\\u200b'",
+        ),
+        (
+            parse_manifest,
+            MANIFEST_HEADER + "S1\tA\t0\t100\nS1\tA\t-500\t1000\n",
+            ValidationError, 3,
+            "negative start time in manifest row:"
+            " ManifestRow(session='S1', speaker='A', start=-500, dur=1000)",
+        ),
+        (
+            parse_manifest,
+            MANIFEST_HEADER + "S1\tA\t0\t100\n\nS1\tA\t0\t100\n",
+            ValidationError, 4,
+            "repeated manifest row: ManifestRow(session='S1', speaker='A', start=0, dur=100)",
+        ),
+        (
+            parse_texts,
+            "S1\tA\t0\t100\thello\nS1\tA\t-5\t100\tworld\n",
+            ValidationError, 2,
+            "negative start time in manifest row:"
+            " ManifestRow(session='S1', speaker='A', start=-5, dur=100)",
+        ),
+        (
+            parse_matrix,
+            "\nS1 0 A B\n0.5 0.5\n",
+            ValidationError, 2, "frame_ms must be positive: 0",
+        ),
+        (
+            # B never speaks, so no Diarization would ever check its id
+            parse_matrix,
+            "S1 10 A B\u200b\n1.0 0.0\n",
+            ValidationError, 1, "speaker must not hold control or format characters: 'B\\u200b'",
+        ),
+        (
+            parse_matrix,
+            "S1 10 A A\n1.0 0.0\n",
+            ValidationError, 1, "duplicate speaker ids in matrix",
+        ),
+    ],
+    ids=[
+        "rttm-duration", "rttm-id", "rttm-time", "transcript-uid", "transcript-id",
+        "manifest-start", "manifest-repeat", "texts-start", "matrix-frame", "matrix-silent-id",
+        "matrix-duplicate",
+    ],
+)
+def test_every_reader_refuses_a_line_at_its_number(parse, text, error, line, message):
+    with pytest.raises(error) as exc:
+        parse(io.StringIO(text))
+    assert type(exc.value) is error
+    assert exc.value.line == line
+    assert str(exc.value) == f"line {line}: {message}"
 
 
 def test_emit_transcript():
