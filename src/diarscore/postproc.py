@@ -14,8 +14,8 @@ command but ``binarize``) does not load numpy.
 External file formats
 ---------------------
 Probability matrix (UTF-8 text): header line ``<session> <frame_ms>
-<spk1> <spk2> ...``, then one whitespace-separated row of probabilities
-per frame, covering contiguous time from 0.
+<spk1> <spk2> ...``, then one whitespace-separated row of ASCII
+probabilities per frame, covering contiguous time from 0.
 
 Manifest TSV: header ``session\tspeaker\tstart_ms\tdur_ms``, one row per
 utterance.  The texts file for `assemble` uses the same columns plus a
@@ -86,18 +86,23 @@ def _check_header(session: str, frame_ms: int, speakers: tuple[str, ...]) -> Non
         check_id("speaker", speaker)
 
 
+def _ascii_int(text: str) -> int:
+    """An optional ``-`` then ASCII digits as an int; anything else is a ValueError."""
+    if not (text.isascii() and text.removeprefix("-").isdigit()):
+        raise ValueError(f"not an ASCII integer: {text!r}")
+    return int(text)  # past sys.get_int_max_str_digits() this is a ValueError too
+
+
 def parse_matrix(stream: IO[str] | Iterable[str]) -> ProbabilityMatrix:
     """Parse the one-header-line probability matrix format.
 
-    The body is read by numpy's C text reader.  Input it rejects (syntax
-    that only Python's ``float()`` accepts, or a malformed row) goes through
-    the per-line parser instead, which returns the same values or raises a
-    line-numbered ParseError.  A header that breaks the ProbabilityMatrix
-    contract is refused at its line; a probability outside [0, 1] is a
-    ValidationError without one.
+    numpy's C text reader reads the body, so a probability is an ASCII
+    decimal, ``inf`` or ``nan`` (any case, optionally signed) and fields
+    are split on any whitespace.  Every refusal names its line: a header
+    that breaks the ProbabilityMatrix contract, and the first body line
+    that holds another token, the wrong number of probabilities or one
+    outside [0, 1] (NaN included).
     """
-    import numpy as np
-
     lines = list(stream)
     for lineno, raw in enumerate(lines, 1):
         if raw.strip():
@@ -109,7 +114,7 @@ def parse_matrix(stream: IO[str] | Iterable[str]) -> ProbabilityMatrix:
         raise ParseError("header needs: session frame_ms speaker...", line=lineno)
     session = header[0]
     try:
-        frame_ms = int(header[1])
+        frame_ms = _ascii_int(header[1])
     except ValueError:
         raise ParseError(f"frame_ms not an integer: {header[1]!r}", line=lineno) from None
     speakers = tuple(header[2:])
@@ -117,38 +122,40 @@ def parse_matrix(stream: IO[str] | Iterable[str]) -> ProbabilityMatrix:
         _check_header(session, frame_ms, speakers)
     except DiarscoreError as exc:
         raise type(exc)(str(exc), line=lineno) from None
-    body = lines[lineno:]
+    lo, hi = lineno, len(lines)  # the body is lines[lo:hi]
+    values = _read_rows(lines[lo:hi], len(speakers))
+    if isinstance(values, DiarscoreError):
+        # each line stands alone: halve the refused span down to its first line
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if isinstance(_read_rows(lines[lo:mid], len(speakers)), DiarscoreError):
+                hi = mid
+            else:
+                lo = mid
+        error = _read_rows(lines[lo:hi], len(speakers))
+        raise type(error)(str(error), line=lo + 1)
+    return ProbabilityMatrix(session=session, frame_ms=frame_ms, speakers=speakers, values=values)
+
+
+def _read_rows(lines: list[str], width: int) -> np.ndarray | DiarscoreError:
+    """numpy's reading of matrix body lines, or the error that refuses them."""
+    import numpy as np
+
     try:
         with warnings.catch_warnings():
             warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
             # comments=None: "#" is a non-numeric field here, not a comment
-            values = np.loadtxt(body, dtype=np.float64, comments=None, ndmin=2)
-    except ValueError:
-        values = None
-    if values is None or not values.shape[0] or values.shape[1] != len(speakers):
-        values = _parse_rows(body, len(speakers), lineno + 1)
-    try:
-        return ProbabilityMatrix(session=session, frame_ms=frame_ms, speakers=speakers, values=values)
-    except ValidationError as exc:
-        raise ValidationError(f"matrix file invalid: {exc}") from None
-
-
-def _parse_rows(body: list[str], width: int, first_lineno: int) -> np.ndarray:
-    """Per-line matrix body parser: ``str.split`` and ``float()`` per field."""
-    import numpy as np
-
-    rows = []
-    for lineno, raw in enumerate(body, first_lineno):
-        if not raw.strip():
-            continue
-        fields = raw.split()
+            values = np.loadtxt(lines, dtype=np.float64, comments=None, ndmin=2)
+    except ValueError:  # on one line, a wrong width still outranks a refused field
+        fields = lines[0].split()  # exact for the one line that parse_matrix raises
         if len(fields) != width:
-            raise ParseError(f"expected {width} probabilities, got {len(fields)}", line=lineno)
-        try:
-            rows.append([float(x) for x in fields])
-        except ValueError:
-            raise ParseError(f"non-numeric probability in {fields!r}", line=lineno) from None
-    return np.array(rows, dtype=np.float64) if rows else np.empty((0, width))
+            return ParseError(f"expected {width} probabilities, got {len(fields)}")
+        return ParseError(f"non-numeric probability in {fields!r}")
+    if values.shape[0] and values.shape[1] != width:
+        return ParseError(f"expected {width} probabilities, got {values.shape[1]}")
+    if not ((values >= 0.0) & (values <= 1.0)).all():  # NaN fails both
+        return ValidationError("probabilities must lie in [0, 1]")
+    return values.reshape(-1, width)  # no rows read as shape (0, 1)
 
 
 def binarize_probs(matrix: ProbabilityMatrix, threshold: float = 0.5) -> Diarization:
@@ -260,13 +267,13 @@ def emit_manifest(manifest: SegmentManifest) -> str:
 def _manifest_row(fields: list[str], checked: set[tuple[str, str]]) -> ManifestRow:
     """The checked ManifestRow of the first four fields of one manifest or texts line.
 
-    A non-integer time is a ParseError; a session or speaker that
-    ``check_id`` rejects, a negative start or a non-positive duration is a
-    ValidationError.  ``checked`` holds the (session, speaker) pairs
-    already checked.  The caller adds the line number.
+    A time that is not an ASCII integer is a ParseError; a session or
+    speaker that ``check_id`` rejects, a negative start or a non-positive
+    duration is a ValidationError.  ``checked`` holds the (session,
+    speaker) pairs already checked.  The caller adds the line number.
     """
     try:
-        row = ManifestRow(fields[0], fields[1], int(fields[2]), int(fields[3]))
+        row = ManifestRow(fields[0], fields[1], _ascii_int(fields[2]), _ascii_int(fields[3]))
     except ValueError:
         raise ParseError(f"non-integer time in {fields!r}") from None
     _check_ids(row.session, row.speaker, checked)

@@ -549,11 +549,44 @@ MANIFEST_HEADER = "session\tspeaker\tstart_ms\tdur_ms\n"
             "S1 10 A A\n1.0 0.0\n",
             ValidationError, 1, "duplicate speaker ids in matrix",
         ),
+        (
+            # numpy's reader skips the blank line, so its row index is not the line
+            parse_matrix,
+            "S1 10 A B\n0.1 0.2\n\n0.3 1.5\n",
+            ValidationError, 4, "probabilities must lie in [0, 1]",
+        ),
+        (
+            parse_matrix,
+            "S1 10 A B\n0.9 0.2_5\n",
+            ParseError, 2, "non-numeric probability in ['0.9', '0.2_5']",
+        ),
+        (
+            # the first refused line wins, whatever its kind
+            parse_matrix,
+            "S1 10 A B\n0.5 0.5\n0.5 nan\n0.5 x\n",
+            ValidationError, 3, "probabilities must lie in [0, 1]",
+        ),
+        (
+            parse_matrix,
+            "S1 \uff11_0 A\n1.0\n",
+            ParseError, 1, "frame_ms not an integer: '\uff11_0'",
+        ),
+        (
+            parse_manifest,
+            MANIFEST_HEADER + "S1\tA\t\uff11\uff10\t100\n",
+            ParseError, 2, "non-integer time in ['S1', 'A', '\uff11\uff10', '100']",
+        ),
+        (
+            parse_texts,
+            "S1\tA\t0\t100\thello\nS1\tA\t200\t\uff11\uff10\tworld\n",
+            ParseError, 2, "non-integer time in ['S1', 'A', '200', '\uff11\uff10', 'world']",
+        ),
     ],
     ids=[
         "rttm-duration", "rttm-id", "rttm-time", "transcript-uid", "transcript-id",
         "manifest-start", "manifest-repeat", "texts-start", "matrix-frame", "matrix-silent-id",
-        "matrix-duplicate",
+        "matrix-duplicate", "matrix-range", "matrix-float-only", "matrix-range-first",
+        "matrix-wide-frame", "manifest-wide-start", "texts-wide-duration",
     ],
 )
 def test_every_reader_refuses_a_line_at_its_number(parse, text, error, line, message):
