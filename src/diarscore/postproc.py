@@ -39,6 +39,7 @@ __all__ = [
     "ManifestRow",
     "ProbabilityMatrix",
     "SegmentManifest",
+    "Texts",
     "assemble_transcript",
     "binarize_probs",
     "build_manifest",
@@ -310,13 +311,25 @@ def parse_manifest(stream: IO[str] | Iterable[str]) -> SegmentManifest:
     return SegmentManifest(rows=tuple(rows))
 
 
-def parse_texts(stream: IO[str] | Iterable[str]) -> dict[ManifestRow, str]:
+class Texts(dict):
+    """The rows of a texts file with their texts, in file order.
+
+    ``line`` maps each row to its line number, so that
+    ``assemble_transcript`` can name the line of a row the manifest lacks.
+    """
+
+    def __init__(self):
+        super().__init__()
+        self.line: dict[ManifestRow, int] = {}
+
+
+def parse_texts(stream: IO[str] | Iterable[str]) -> Texts:
     """Parse the per-row decoded-text file (manifest columns plus text).
 
     A malformed or out-of-range row is refused at its line, and a row
     given twice is a ParseError at the line of the repeat.
     """
-    texts: dict[ManifestRow, str] = {}
+    texts = Texts()
     checked: set[tuple[str, str]] = set()
     for lineno, raw in enumerate(stream, 1):
         line = raw.rstrip("\r\n")
@@ -334,6 +347,7 @@ def parse_texts(stream: IO[str] | Iterable[str]) -> dict[ManifestRow, str]:
         if row in texts:
             raise ParseError(f"repeated row: {row}", line=lineno)
         texts[row] = fields[4]
+        texts.line[row] = lineno
     return texts
 
 
@@ -343,13 +357,17 @@ def assemble_transcript(
     """Join each speaker's decoded texts in start order into one entry.
 
     Rows without a supplied text contribute the empty string; a text for a
-    row absent from the manifest is an error.  Output is sorted by
-    (session, speaker), order_key numbering the emitted lines.
+    row absent from the manifest is an error, which names the first such
+    row in ``texts`` order and, for parsed ``Texts``, its line.  Output is
+    sorted by (session, speaker), order_key numbering the emitted lines.
     """
     known = set(manifest.rows)
-    stray = sorted(set(texts) - known)
+    stray = [row for row in texts if row not in known]
     if stray:
-        raise ValidationError(f"text supplied for rows absent from the manifest: {stray[:3]}")
+        line = texts.line[stray[0]] if isinstance(texts, Texts) else None
+        raise ValidationError(
+            f"text supplied for rows absent from the manifest: {stray[:3]}", line=line
+        )
     merged: dict[tuple[str, str], list[str]] = {}
     for row in manifest.rows:  # already (session, start, speaker) ordered
         merged.setdefault((row.session, row.speaker), []).append(texts.get(row, ""))

@@ -1,9 +1,11 @@
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from diarscore import cer as cer_module
 from diarscore.cer import EditCounts, edit_counts, edit_distance, normalize_text
 from diarscore.errors import UndefinedMetricError, ValidationError
 
@@ -38,6 +40,12 @@ def oracle_counts(a: str, b: str) -> tuple[int, int, int, int]:
         else:
             ins, j = ins + 1, j - 1
     return s, d, ins, len(a)
+
+
+def check_against_oracle(ref: str, hyp: str) -> None:
+    counts = edit_counts(ref, hyp)
+    assert (counts.s, counts.d, counts.i, counts.n) == oracle_counts(ref, hyp)
+    assert edit_distance(ref, hyp) == oracle_distance(ref, hyp)
 
 
 def test_normalize_removes_whitespace():
@@ -145,8 +153,8 @@ def test_concatenation_superadditivity(r1, r2, h1, h2):
 lengths = st.sampled_from([0, 1, 29, 30, 31, 59, 60, 61]) | st.integers(0, 70)
 
 
-def sized_text(draw, alphabet: str) -> str:
-    size = draw(lengths)
+def sized_text(draw, alphabet: str, sizes=lengths) -> str:
+    size = draw(sizes)
     return draw(st.text(alphabet=alphabet, min_size=size, max_size=size))
 
 
@@ -171,9 +179,7 @@ def test_counts_match_oracle_at_digit_boundaries(ref_len, hyp_len):
     rng = random.Random(ref_len * 100 + hyp_len)
     ref = "".join(rng.choice("ab") for _ in range(ref_len))
     hyp = "".join(rng.choice("abc") for _ in range(hyp_len))
-    counts = edit_counts(ref, hyp)
-    assert (counts.s, counts.d, counts.i, counts.n) == oracle_counts(ref, hyp)
-    assert edit_distance(ref, hyp) == oracle_distance(ref, hyp)
+    check_against_oracle(ref, hyp)
 
 
 def test_counts_match_oracle_on_long_non_bmp_text():
@@ -192,8 +198,104 @@ def test_counts_match_oracle_on_long_non_bmp_text():
         else:
             hyp.insert(k, rng.choice(alphabet))
     hyp = "".join(hyp)
-    counts = edit_counts(ref, hyp)
-    assert (counts.s, counts.d, counts.i, counts.n) == oracle_counts(ref, hyp)
-    assert edit_distance(ref, hyp) == oracle_distance(ref, hyp)
+    check_against_oracle(ref, hyp)
     assert edit_counts("𠀀", "") == EditCounts(0, 1, 0, 1)
     assert edit_counts("𠀀a", "a𠀀") == EditCounts(*oracle_counts("𠀀a", "a𠀀"))
+
+
+# Affix lengths at the same digit boundaries, so a trimmed middle can start
+# or end at any digit of the untrimmed strings.
+affix_lengths = st.sampled_from([0, 29, 30, 31, 59, 60, 61])
+
+
+@st.composite
+def shared_affix_pairs(draw):
+    ref_alpha, hyp_alpha = draw(st.sampled_from([("a", "ab"), ("ab", "a"), ("ab", "abc")]))
+    both = ref_alpha + hyp_alpha
+    prefix = sized_text(draw, both, affix_lengths)
+    suffix = sized_text(draw, both, affix_lengths)
+    core_a = draw(st.text(alphabet=ref_alpha, max_size=12))
+    core_b = draw(st.text(alphabet=hyp_alpha, max_size=12))
+    return prefix + core_a + suffix, prefix + core_b + suffix
+
+
+@settings(max_examples=300, deadline=None)
+@given(shared_affix_pairs())
+def test_counts_match_oracle_with_shared_affixes(pair):
+    check_against_oracle(*pair)
+
+
+@pytest.mark.parametrize(
+    "ref, hyp",
+    [
+        pytest.param("aa", "aaa", id="prefix-and-suffix-would-overlap"),
+        pytest.param("ab" * 30, "ab" * 30 + "a", id="ref-is-a-prefix"),
+        pytest.param("ab" * 31, "b" + "ab" * 30, id="hyp-is-a-suffix"),
+        pytest.param("a" * 30 + "b" * 31, "a" * 30 + "b" * 31, id="empty-cores"),
+        pytest.param("a" * 29 + "b" * 31, "a" * 29 + "ab" + "b" * 30, id="one-insertion"),
+        pytest.param("", "a" * 61, id="empty-ref"),
+    ],
+)
+def test_counts_match_oracle_on_nested_affixes(ref, hyp):
+    check_against_oracle(ref, hyp)
+    check_against_oracle(hyp, ref)
+
+
+def traced_peak(fn, *args):
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def cjk_stream(size: int) -> str:
+    rng = random.Random(11)
+    return "".join(chr(rng.randrange(0x4E00, 0x9FA6)) for _ in range(size))
+
+
+def test_identical_streams_keep_no_traceback():
+    # untrimmed, the traceback would run over 16k x 16k cells
+    ref = cjk_stream(16_000)
+    hyp = ref[:8_000] + ref[8_000:]  # equal, but another object
+    counts, peak = traced_peak(edit_counts, ref, hyp)
+    assert counts == EditCounts(0, 0, 0, 16_000)
+    assert peak < 1_000_000
+
+
+def test_one_changed_character_keeps_no_traceback():
+    ref = cjk_stream(16_000)
+    hyp = ref[:8_000] + ("好" if ref[8_000] != "好" else "坏") + ref[8_001:]
+    counts, peak = traced_peak(edit_counts, ref, hyp)
+    assert counts == EditCounts(1, 0, 0, 16_000)
+    assert peak < 1_000_000
+    assert edit_distance(ref, hyp) == 1
+
+
+@settings(max_examples=300, deadline=None)
+@given(tie_heavy_pairs())
+def test_block_by_block_traceback_matches_oracle(pair):
+    # no table fits the budget: blocks of about sqrt(m) columns, recomputed
+    # from their first column as the walk reaches them
+    ref, hyp = pair
+    budget = cer_module._TRACE_BLOCK_BITS
+    cer_module._TRACE_BLOCK_BITS = 0
+    try:
+        check_against_oracle(ref, hyp)
+    finally:
+        cer_module._TRACE_BLOCK_BITS = budget
+
+
+def test_large_table_keeps_one_block(monkeypatch):
+    # whole, the traceback of this pair would keep 2 x 6k x 6k bits, 9 MB
+    rng = random.Random(5)
+    ref = "".join(rng.choice("abcd") for _ in range(6_000))
+    hyp = "".join(rng.choice("abcd") for _ in range(6_000))
+    counts, peak = traced_peak(edit_counts, ref, hyp)
+    assert peak < 1_000_000
+    monkeypatch.setattr(cer_module, "_TRACE_BLOCK_BITS", 2 * 6_001 * 6_000)
+    whole, whole_peak = traced_peak(edit_counts, ref, hyp)
+    assert whole_peak > 9_000_000
+    assert counts == whole
+    assert counts.distance == edit_distance(ref, hyp)

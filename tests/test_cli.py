@@ -688,6 +688,26 @@ def test_assemble_refuses_a_repeated_row(capsys, tmp_path, manifest_rows, texts_
     assert run(capsys, "assemble", "--manifest", manifest, "--texts", texts) == (1, "", stderr)
 
 
+def test_assemble_names_the_line_of_a_stray_text_row(capsys, tmp_path):
+    # a texts row the manifest lacks used to be refused without a line number;
+    # the first stray row in file order is named, not the first in sort order
+    manifest = tmp_path / "manifest.tsv"
+    manifest.write_text("session\tspeaker\tstart_ms\tdur_ms\nS1\tA\t0\t100\n", encoding="utf-8")
+    texts = tmp_path / "texts.tsv"
+    texts.write_text(
+        "session\tspeaker\tstart_ms\tdur_ms\ttext\nS1\tA\t0\t100\thello\n\n"
+        "S1\tZ\t0\t100\tx\nS1\tB\t500\t100\ty\n",
+        encoding="utf-8",
+    )
+    assert run(capsys, "assemble", "--manifest", manifest, "--texts", texts) == (
+        1,
+        "",
+        "error: line 4: text supplied for rows absent from the manifest:"
+        " [ManifestRow(session='S1', speaker='Z', start=0, dur=100),"
+        " ManifestRow(session='S1', speaker='B', start=500, dur=100)]\n",
+    )
+
+
 def test_ref_rttm_cannot_change_a_cpcer(capsys, caplog, synth_files):
     import random
 
