@@ -280,8 +280,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--ref-rttm",
         nargs="+",
-        help="reference RTTM(s) to check against the transcript; each speaker's"
-        " entries keep their file order, so no score changes",
+        help="reference RTTM(s) to read, validate and check against the transcript;"
+        " each (session, speaker) pair whose turn count differs is named, and"
+        " nothing is reordered, so no score changes",
     )
     p.add_argument("--hyp-trn", required=True, help="hypothesis transcript path")
     p.add_argument("--keep-punctuation", action="store_true", help="do not strip punctuation")

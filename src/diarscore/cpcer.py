@@ -54,9 +54,6 @@ class SpeakerText:
     session: str
     streams: Mapping[str, CharSeq]
 
-    def total_chars(self) -> int:
-        return sum(len(t) for t in self.streams.values())
-
 
 def concat_by_speaker(
     entries: Iterable[TranscriptEntry],
@@ -97,41 +94,27 @@ def concat_by_speaker(
 def attach_order_from_rttm(
     entries: Iterable[TranscriptEntry], turns: Iterable[SpeakerTurn]
 ) -> list[TranscriptEntry]:
-    """Replace entry order keys with start times from matching RTTM turns.
+    """Check RTTM turn counts against the transcript; return the entries unchanged.
 
-    The k-th transcript entry of a (session, speaker) pair, in file order,
-    is matched to that pair's k-th turn in start order.  Pairs whose entry
-    and turn counts disagree keep their file order, with a warning.
-
-    The new keys therefore rise in file order within each pair, and the
-    stable sort in ``concat_by_speaker`` keeps file order either way: this
-    cannot change any stream or score.  It only checks the turns against
-    the entry counts.
+    Each (session, speaker) pair whose transcript entry count differs from
+    its turn count is warned about: first the pairs with entries, in order
+    of first appearance, then the pairs that only the RTTM holds, sorted.
+    The transcript alone sets the order of each stream, so this cannot
+    change any stream or score.
     """
-    turn_starts: dict[tuple[str, str], list[int]] = {}
-    for t in sorted(turns, key=lambda t: (t.session, t.interval.start, t.speaker)):
-        turn_starts.setdefault((t.session, t.speaker), []).append(t.interval.start)
-    grouped: dict[tuple[str, str], list[TranscriptEntry]] = {}
-    ordered = []
-    for e in entries:
-        grouped.setdefault((e.session, e.speaker), []).append(e)
-    for key, group in grouped.items():
-        starts = turn_starts.get(key, [])
-        if len(starts) != len(group):
+    n_turns = Counter((t.session, t.speaker) for t in turns)
+    entries = list(entries)
+    n_entries = Counter((e.session, e.speaker) for e in entries)
+    for key in [*n_entries, *sorted(n_turns.keys() - n_entries.keys())]:
+        if n_entries[key] != n_turns[key]:
             logger.warning(
                 "session %s speaker %s: %d transcript entries vs %d turns; keeping file order",
                 key[0],
                 key[1],
-                len(group),
-                len(starts),
+                n_entries[key],
+                n_turns[key],
             )
-            ordered.extend(group)
-            continue
-        ordered.extend(
-            TranscriptEntry(speaker=e.speaker, session=e.session, text=e.text, order_key=start)
-            for e, start in zip(group, starts)
-        )
-    return ordered
+    return entries
 
 
 @dataclass(frozen=True)

@@ -180,21 +180,18 @@ def brute_force_der(ref: Diarization, hyp: Diarization) -> tuple[SpeakerMap, Der
     totals = _activity_totals(build_regions(ref, hyp))
     refs = sorted(ref.speaker_ids)
     hyps = sorted(hyp.speaker_ids)
-    best: tuple[DerBreakdown, tuple[tuple[str, str], ...]] | None = None
     if len(refs) <= len(hyps):
         candidates = (tuple(zip(refs, combo)) for combo in permutations(hyps, len(refs)))
     else:
         candidates = (
             tuple(zip(combo, hyps)) for combo in permutations(refs, len(hyps))
         )
-    for pairs in candidates:
-        breakdown = _breakdown(totals, pairs)
-        key = breakdown.fa + breakdown.miss + breakdown.spkerr
-        if best is None or key < best[0].fa + best[0].miss + best[0].spkerr:
-            best = (breakdown, pairs)
-    if best is None:  # both sides empty of speakers
-        best = (_breakdown(totals, ()), ())
-    breakdown, pairs = best
+    # min keeps the first of equal totals; permutations yields at least one
+    # tuple, the empty one when a side has no speakers
+    breakdown, pairs = min(
+        ((_breakdown(totals, pairs), pairs) for pairs in candidates),
+        key=lambda found: found[0].fa + found[0].miss + found[0].spkerr,
+    )
     overlap = _overlap(totals, ref, hyp)
     kept = sorted((r, h) for r, h in pairs if overlap[(r, h)] > 0)
     return _with_unmatched(kept, refs, hyps), breakdown

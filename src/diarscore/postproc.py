@@ -101,8 +101,8 @@ def parse_matrix(stream: IO[str] | Iterable[str]) -> ProbabilityMatrix:
     decimal, ``inf`` or ``nan`` (any case, optionally signed) and fields
     are split on any whitespace.  Every refusal names its line: a header
     that breaks the ProbabilityMatrix contract, and the first body line
-    that holds another token, the wrong number of probabilities or one
-    outside [0, 1] (NaN included).
+    that holds a carriage return before its ending, another token, the
+    wrong number of probabilities or one outside [0, 1] (NaN included).
     """
     lines = list(stream)
     for lineno, raw in enumerate(lines, 1):
@@ -148,7 +148,10 @@ def _read_rows(lines: list[str], width: int) -> np.ndarray | DiarscoreError:
             # comments=None: "#" is a non-numeric field here, not a comment
             values = np.loadtxt(lines, dtype=np.float64, comments=None, ndmin=2)
     except ValueError:  # on one line, a wrong width still outranks a refused field
-        fields = lines[0].split()  # exact for the one line that parse_matrix raises
+        line = lines[0]  # exact for the one line that parse_matrix raises
+        if "\r" in line.removesuffix("\n").removesuffix("\r"):
+            return ParseError(f"carriage return inside the line: {line!r}")
+        fields = line.split()
         if len(fields) != width:
             return ParseError(f"expected {width} probabilities, got {len(fields)}")
         return ParseError(f"non-numeric probability in {fields!r}")

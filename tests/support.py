@@ -1,10 +1,11 @@
-"""Test-only helpers: random turns, a ledger reader and a speech total."""
+"""Test-only helpers: random turns, a ledger reader, a speech and a character total."""
 
 from __future__ import annotations
 
 import random
 from typing import Iterable
 
+from diarscore.cpcer import SpeakerText
 from diarscore.formats import SpeakerTurn, TimeInterval
 from diarscore.timeline import Diarization
 
@@ -38,3 +39,8 @@ def parse_ledger(lines: Iterable[str]) -> dict[str, int]:
 def total_speech(d: Diarization) -> int:
     """Sum of all speakers' speech durations in ms (overlap counted per speaker)."""
     return sum(iv.dur for _, ivs in d.items() for iv in ivs)
+
+
+def total_chars(text: SpeakerText) -> int:
+    """Sum of the lengths of all speakers' normalized character streams."""
+    return sum(len(t) for t in text.streams.values())

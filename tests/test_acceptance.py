@@ -23,7 +23,7 @@ from diarscore.synth import (
     generate_session,
 )
 from diarscore.timeline import Diarization
-from support import random_turn_list, total_speech
+from support import random_turn_list, total_chars, total_speech
 
 # Published (FA, MISS, SPKERR, DER) percentages for three baseline
 # modality mixes; the visual row's printed total is 0.01 below its
@@ -100,7 +100,7 @@ def test_recognition_rows_arithmetic_identity():
                 speakers=2, duration_ms=1_300_000, overlap=0.1, silence=0.1, seed=100 + index
             )
             ref_streams = concat_by_speaker(sess.transcript)
-            n = ref_streams.total_chars()
+            n = total_chars(ref_streams)
             s, d, i = (round(p * n / 100) for p in (s_p, d_p, i_p))
             hyp_entries, _ = corrupt_text(sess.transcript, sub=s, delete=d, insert=i, seed=7)
             result = compute_cpcer(ref_streams, concat_by_speaker(hyp_entries))
@@ -190,7 +190,7 @@ def test_ledger_recovery_loops():
             assert breakdown.total == total, trial
 
             streams = concat_by_speaker(sess.transcript)
-            n = streams.total_chars()
+            n = total_chars(streams)
             s = (trial * 13) % (n // 4)
             d = (trial * 17) % (n // 4)
             i = (trial * 7) % (n // 5)

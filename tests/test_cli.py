@@ -13,7 +13,7 @@ from diarscore import __version__
 from diarscore.cli import main
 from diarscore.formats import emit_rttm, emit_transcript, parse_rttm, parse_transcript
 from diarscore.synth import generate_session
-from support import total_speech
+from support import total_chars, total_speech
 
 
 @pytest.fixture
@@ -135,7 +135,7 @@ def test_score_cpcer_recovers_text_ledger(capsys, session_files, tmp_path):
     from diarscore.cpcer import concat_by_speaker
     from diarscore.synth import corrupt_text
 
-    n = concat_by_speaker(sess.transcript).total_chars()
+    n = total_chars(concat_by_speaker(sess.transcript))
     hyp_entries, _ = corrupt_text(sess.transcript, sub=4, delete=3, insert=2, seed=9)
     hyp = tmp_path / "hyp.trn"
     hyp.write_text(emit_transcript(hyp_entries), encoding="utf-8")
@@ -267,6 +267,22 @@ def test_fuse_weights_validation(capsys, session_files):
     code, _, err = run(capsys, "fuse", ref, ref, "--weights", "1")
     assert code == 1
     assert "weight" in err
+    for weights in ("1,x", "1/0"):
+        assert run(capsys, "fuse", ref, ref, "--weights", weights) == (
+            1, "", f"error: unparseable weights: {weights!r}\n"
+        )
+
+
+def test_fuse_refuses_a_file_with_two_sessions(capsys, tmp_path):
+    two = tmp_path / "two.rttm"
+    two.write_text(
+        "SPEAKER S1 1 0.00 1.00 <NA> <NA> A <NA> <NA>\n"
+        "SPEAKER S2 1 0.00 1.00 <NA> <NA> A <NA> <NA>\n",
+        encoding="utf-8",
+    )
+    assert run(capsys, "fuse", two) == (
+        1, "", f"error: {two}: expected exactly one session, got 2\n"
+    )
 
 
 def test_binarize_all_ones_full_span(capsys, tmp_path):

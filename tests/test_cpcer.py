@@ -217,16 +217,38 @@ def test_shared_vocabulary_aligns_fewer_than_all_cells(monkeypatch, speakers, le
     assert len(calls) < speakers * speakers
 
 
-def test_attach_order_from_rttm_keys_rise_in_file_order():
-    # the k-th entry gets the k-th smallest start, so concat_by_speaker's
-    # stable sort keeps file order: the RTTM cannot reorder a stream
+def test_attach_order_from_rttm_returns_the_entries_unchanged(caplog):
+    # keys that fall against the turns' starts: only the transcript sets the order
     turns = [
         SpeakerTurn("S1", "1", "A", TimeInterval(9000, 1000)),
+        SpeakerTurn("S1", "1", "B", TimeInterval(5000, 1000)),
         SpeakerTurn("S1", "1", "A", TimeInterval(2000, 1000)),
     ]
-    entries = [entry("A", "первый", 0), entry("A", "второй", 1)]
-    ordered = attach_order_from_rttm(entries, turns)
-    assert [(e.text, e.order_key) for e in ordered] == [("первый", 2000), ("второй", 9000)]
+    entries = [entry("A", "первый", 7), entry("B", "x", 0), entry("A", "второй", 3)]
+    with caplog.at_level("WARNING"):
+        assert attach_order_from_rttm(iter(entries), turns) == entries
+    assert caplog.records == []
+
+
+def test_attach_order_warns_for_pairs_only_the_rttm_holds(caplog):
+    turns = [
+        SpeakerTurn("S2", "1", "C", TimeInterval(0, 1000)),
+        SpeakerTurn("S1", "1", "B", TimeInterval(0, 1000)),
+        SpeakerTurn("S1", "1", "A", TimeInterval(0, 1000)),
+        SpeakerTurn("S1", "1", "B", TimeInterval(2000, 1000)),
+        SpeakerTurn("S1", "1", "Z", TimeInterval(0, 1000)),
+        SpeakerTurn("S1", "1", "Z", TimeInterval(5000, 1000)),
+    ]
+    entries = [entry("Z", "z", 0), entry("A", "x", 1), entry("A", "y", 2)]
+    with caplog.at_level("WARNING"):
+        assert attach_order_from_rttm(entries, turns) == entries
+    # pairs with entries in first-appearance order, then the RTTM-only pairs sorted
+    assert [r.getMessage() for r in caplog.records] == [
+        "session S1 speaker Z: 1 transcript entries vs 2 turns; keeping file order",
+        "session S1 speaker A: 2 transcript entries vs 1 turns; keeping file order",
+        "session S1 speaker B: 0 transcript entries vs 2 turns; keeping file order",
+        "session S2 speaker C: 0 transcript entries vs 1 turns; keeping file order",
+    ]
 
 
 def test_attach_order_keeps_file_order_on_count_mismatch(caplog):

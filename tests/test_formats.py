@@ -581,12 +581,39 @@ MANIFEST_HEADER = "session\tspeaker\tstart_ms\tdur_ms\n"
             "S1\tA\t0\t100\thello\nS1\tA\t200\t\uff11\uff10\tworld\n",
             ParseError, 2, "non-integer time in ['S1', 'A', '200', '\uff11\uff10', 'world']",
         ),
+        (
+            parse_manifest,
+            MANIFEST_HEADER + "S1\tA\t0\t100\nS1\tA\t200\n",
+            ParseError, 3, "expected 4 tab-separated fields, got 3",
+        ),
+        (
+            parse_texts,
+            "S1\tA\t0\t100\thello\nS1\tA\t200\t100\n",
+            ParseError, 2, "expected 5 tab-separated fields, got 4",
+        ),
+        (
+            parse_matrix,
+            "\nS1 10\n0.5\n",
+            ParseError, 2, "header needs: session frame_ms speaker...",
+        ),
+        (
+            # a library caller can pass a \r that a file opened in text mode never yields
+            parse_matrix,
+            "S1 10 A B\n0.1 0.2\n0.5\r0.5\n",
+            ParseError, 3, "carriage return inside the line: '0.5\\r0.5\\n'",
+        ),
+        (
+            parse_matrix,
+            "S1 10 A B\n0.1 0.2\n\r\r\n",
+            ParseError, 3, "carriage return inside the line: '\\r\\r\\n'",
+        ),
     ],
     ids=[
         "rttm-duration", "rttm-id", "rttm-time", "transcript-uid", "transcript-id",
         "manifest-start", "manifest-repeat", "texts-start", "matrix-frame", "matrix-silent-id",
         "matrix-duplicate", "matrix-range", "matrix-float-only", "matrix-range-first",
-        "matrix-wide-frame", "manifest-wide-start", "texts-wide-duration",
+        "matrix-wide-frame", "manifest-wide-start", "texts-wide-duration", "manifest-short-row",
+        "texts-short-row", "matrix-short-header", "matrix-inner-cr", "matrix-blank-cr",
     ],
 )
 def test_every_reader_refuses_a_line_at_its_number(parse, text, error, line, message):

@@ -10,7 +10,7 @@ from diarscore.synth import (
     generate_session,
     write_ledger,
 )
-from support import parse_ledger, total_speech
+from support import parse_ledger, total_chars, total_speech
 
 
 def test_same_seed_reproduces_byte_identical_files():
@@ -106,7 +106,7 @@ def test_injection_errors():
 def test_corrupt_text_single_kind_rates():
     sess = generate_session(speakers=1, duration_ms=35_000, overlap=0.0, seed=35)
     streams = concat_by_speaker(sess.transcript)
-    n = streams.total_chars()
+    n = total_chars(streams)
     assert n >= 100
     hyp_entries, _ = corrupt_text(sess.transcript, sub=3, seed=8)
     result = compute_cpcer(streams, concat_by_speaker(hyp_entries))
@@ -120,7 +120,7 @@ def test_corrupt_text_single_kind_rates():
 
 def test_corrupt_text_infeasible_counts():
     sess = generate_session(speakers=1, duration_ms=10_000, overlap=0.0, seed=36)
-    n = concat_by_speaker(sess.transcript).total_chars()
+    n = total_chars(concat_by_speaker(sess.transcript))
     with pytest.raises(InjectionError):
         corrupt_text(sess.transcript, sub=n, delete=1)
 
