@@ -36,6 +36,7 @@ from .postproc import (
     assemble_transcript,
     binarize_probs,
     build_manifest,
+    check_tunables,
     combine_manifests,
     emit_manifest,
     parse_manifest,
@@ -195,6 +196,8 @@ def _cmd_fuse(args) -> int:
 
 
 def _cmd_binarize(args) -> int:
+    # a bad tunable is refused before the matrix is opened
+    check_tunables(args.threshold, max_gap_ms=args.max_gap, min_dur_ms=args.min_dur)
     d = binarize_probs(_parse_file(parse_matrix, args.matrix), threshold=args.threshold)
     d = smooth_segments(d, max_gap_ms=args.max_gap, min_dur_ms=args.min_dur)
     _write_output(emit_rttm(d.to_turns()), args.output)

@@ -24,9 +24,10 @@ final ``text`` column.
 
 from __future__ import annotations
 
+import itertools
 import warnings
 from dataclasses import dataclass
-from typing import IO, TYPE_CHECKING, Iterable, Mapping, NamedTuple
+from typing import IO, TYPE_CHECKING, Iterable, Iterator, Mapping, NamedTuple
 
 from .errors import DiarscoreError, ParseError, ValidationError
 from .formats import TimeInterval, TranscriptEntry, _check_ids, check_id
@@ -43,6 +44,7 @@ __all__ = [
     "assemble_transcript",
     "binarize_probs",
     "build_manifest",
+    "check_tunables",
     "combine_manifests",
     "parse_manifest",
     "parse_matrix",
@@ -51,6 +53,9 @@ __all__ = [
 ]
 
 MANIFEST_HEADER = ("session", "speaker", "start_ms", "dur_ms")
+
+# parse_matrix hands numpy this many body lines at a time.
+_MATRIX_CHUNK_LINES = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -101,10 +106,15 @@ def parse_matrix(stream: IO[str] | Iterable[str]) -> ProbabilityMatrix:
     decimal, ``inf`` or ``nan`` (any case, optionally signed) and fields
     are split on any whitespace.  Every refusal names its line: a header
     that breaks the ProbabilityMatrix contract, and the first body line
-    that holds a carriage return before its ending, another token, the
-    wrong number of probabilities or one outside [0, 1] (NaN included).
+    that holds a carriage return or a line break before its ending,
+    another token, the wrong number of probabilities or one outside
+    [0, 1] (NaN included).
+
+    The stream is read once, _MATRIX_CHUNK_LINES lines at a time, so what
+    is held besides the parsed rows is one chunk of lines, and a second
+    copy of the rows while the chunks are joined.
     """
-    lines = list(stream)
+    lines = iter(stream)
     for lineno, raw in enumerate(lines, 1):
         if raw.strip():
             header = raw.split()
@@ -123,19 +133,36 @@ def parse_matrix(stream: IO[str] | Iterable[str]) -> ProbabilityMatrix:
         _check_header(session, frame_ms, speakers)
     except DiarscoreError as exc:
         raise type(exc)(str(exc), line=lineno) from None
-    lo, hi = lineno, len(lines)  # the body is lines[lo:hi]
-    values = _read_rows(lines[lo:hi], len(speakers))
-    if isinstance(values, DiarscoreError):
-        # each line stands alone: halve the refused span down to its first line
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if isinstance(_read_rows(lines[lo:mid], len(speakers)), DiarscoreError):
-                hi = mid
-            else:
-                lo = mid
-        error = _read_rows(lines[lo:hi], len(speakers))
-        raise type(error)(str(error), line=lo + 1)
+    values = _read_body(lines, len(speakers), lineno)
     return ProbabilityMatrix(session=session, frame_ms=frame_ms, speakers=speakers, values=values)
+
+
+def _read_body(lines: Iterator[str], width: int, before: int) -> np.ndarray:
+    """The rows of the body lines left in ``lines``, read a chunk at a time.
+
+    ``before`` lines precede the body.  A refused chunk is halved down to
+    its first refused line, which is raised at its line number.
+    """
+    import numpy as np
+
+    parts = []
+    while chunk := list(itertools.islice(lines, _MATRIX_CHUNK_LINES)):
+        values = _read_rows(chunk, width)
+        if isinstance(values, DiarscoreError):
+            # each line stands alone: halve the refused chunk down to its first line
+            lo, hi = 0, len(chunk)
+            while hi - lo > 1:
+                mid = (lo + hi) // 2
+                if isinstance(_read_rows(chunk[lo:mid], width), DiarscoreError):
+                    hi = mid
+                else:
+                    lo = mid
+            error = _read_rows(chunk[lo:hi], width)
+            raise type(error)(str(error), line=before + lo + 1)
+        parts.append(values)
+        before += len(chunk)
+        del chunk  # free these lines before the next chunk is read
+    return np.concatenate(parts) if parts else np.empty((0, width))
 
 
 def _read_rows(lines: list[str], width: int) -> np.ndarray | DiarscoreError:
@@ -148,9 +175,12 @@ def _read_rows(lines: list[str], width: int) -> np.ndarray | DiarscoreError:
             # comments=None: "#" is a non-numeric field here, not a comment
             values = np.loadtxt(lines, dtype=np.float64, comments=None, ndmin=2)
     except ValueError:  # on one line, a wrong width still outranks a refused field
-        line = lines[0]  # exact for the one line that parse_matrix raises
-        if "\r" in line.removesuffix("\n").removesuffix("\r"):
+        line = lines[0]  # exact for the one line that _read_body raises
+        text = line.removesuffix("\n").removesuffix("\r")
+        if "\r" in text:
             return ParseError(f"carriage return inside the line: {line!r}")
+        if "\n" in text:
+            return ParseError(f"line break inside the line: {line!r}")
         fields = line.split()
         if len(fields) != width:
             return ParseError(f"expected {width} probabilities, got {len(fields)}")
@@ -162,10 +192,21 @@ def _read_rows(lines: list[str], width: int) -> np.ndarray | DiarscoreError:
     return values.reshape(-1, width)  # no rows read as shape (0, 1)
 
 
-def binarize_probs(matrix: ProbabilityMatrix, threshold: float = 0.5) -> Diarization:
-    """Maximal runs of frames with probability >= threshold become intervals."""
+def check_tunables(threshold: float = 0.5, max_gap_ms: int = 0, min_dur_ms: int = 0) -> None:
+    """Refuse a threshold outside (0, 1) or a negative smoothing length.
+
+    ``binarize_probs`` and ``smooth_segments`` check their tunables here,
+    and so can a caller before it reads any matrix.
+    """
     if not 0.0 < threshold < 1.0:
         raise ValidationError(f"threshold must lie strictly inside (0, 1): {threshold}")
+    if max_gap_ms < 0 or min_dur_ms < 0:
+        raise ValidationError("smoothing parameters must be non-negative")
+
+
+def binarize_probs(matrix: ProbabilityMatrix, threshold: float = 0.5) -> Diarization:
+    """Maximal runs of frames with probability >= threshold become intervals."""
+    check_tunables(threshold=threshold)
     import numpy as np
 
     speakers: dict[str, list[TimeInterval]] = {}
@@ -187,8 +228,7 @@ def smooth_segments(d: Diarization, max_gap_ms: int = 300, min_dur_ms: int = 200
 
     The order is fixed (merge before drop) and the operation is idempotent.
     """
-    if max_gap_ms < 0 or min_dur_ms < 0:
-        raise ValidationError("smoothing parameters must be non-negative")
+    check_tunables(max_gap_ms=max_gap_ms, min_dur_ms=min_dur_ms)
     speakers: dict[str, list[TimeInterval]] = {}
     for spk, ivs in d.items():
         merged: list[TimeInterval] = []

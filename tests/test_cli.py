@@ -305,6 +305,20 @@ def test_binarize_validation_error(capsys, tmp_path):
     assert "threshold" in err
 
 
+@pytest.mark.parametrize(
+    "tunable, message",
+    [
+        (["--threshold", 1.5], "threshold must lie strictly inside (0, 1): 1.5"),
+        (["--max-gap", -1], "smoothing parameters must be non-negative"),
+        (["--min-dur", -1], "smoothing parameters must be non-negative"),
+    ],
+)
+@pytest.mark.parametrize("matrix", ["missing.txt", "refused.txt"])
+def test_binarize_refuses_a_bad_tunable_before_the_matrix(capsys, tmp_path, tunable, message, matrix):
+    (tmp_path / "refused.txt").write_text("S1 10 A\n0.5 x\n", encoding="utf-8")
+    assert run(capsys, "binarize", tmp_path / matrix, *tunable) == (1, "", f"error: {message}\n")
+
+
 def test_binarize_rejects_nan_probability(capsys, tmp_path):
     matrix = tmp_path / "probs.txt"
     matrix.write_text("S1 10 A B\n0.9 0.9\n0.1 nan\n", encoding="utf-8")

@@ -1,5 +1,6 @@
 import io
 import re
+import tracemalloc
 import warnings
 from collections import Counter
 
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from diarscore import postproc
 from diarscore.cpcer import concat_by_speaker
 from diarscore.errors import ParseError, ValidationError
 from diarscore.formats import TimeInterval
@@ -251,11 +253,14 @@ def grammar_oracle(lines):
     rows = []
     for lineno, raw in enumerate(lines[start + 1 :], start + 2):
         text = raw.removesuffix("\n").removesuffix("\r")  # one line ending
-        # a carriage return before the ending outranks the width and the fields
+        # a carriage return or line break before the ending outranks the
+        # width and the fields
         if "\r" in text:
             return ParseError, f"carriage return inside the line: {raw!r}", lineno
+        if "\n" in text:
+            return ParseError, f"line break inside the line: {raw!r}", lineno
         fields = text.split()
-        refused = "\n" in text or not all(map(TOKEN.fullmatch, fields))
+        refused = not all(map(TOKEN.fullmatch, fields))
         if not (fields or refused):
             continue
         # within a line, a wrong width outranks a refused field
@@ -291,10 +296,11 @@ def random_matrix_lines(rng):
     return lines
 
 
-def test_matrix_reader_matches_per_line_oracle():
+def check_random_cases(cases):
+    """parse_matrix against grammar_oracle on random bodies: the outcomes seen."""
     outcomes = Counter()
     rng = np.random.default_rng(2022)
-    for _ in range(3000):
+    for _ in range(cases):
         lines = random_matrix_lines(rng)
         expected = grammar_oracle(lines)
         try:
@@ -307,11 +313,91 @@ def test_matrix_reader_matches_per_line_oracle():
         else:
             assert (values.shape, values.tobytes()) == (expected.shape, expected.tobytes()), lines
             outcomes["values"] += 1
+    return outcomes
+
+
+def test_matrix_reader_matches_per_line_oracle():
+    outcomes = check_random_cases(3000)
     # every outcome carries a real share of the cases; only the "\r" token
     # refuses a line for its carriage return, so that outcome is rarer
     assert outcomes.pop("carriage") > 20, outcomes
     assert set(outcomes) == {"values", "non-numeric", "expected", "probabilities"}
     assert min(outcomes.values()) > 100, outcomes
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3])
+def test_matrix_reader_matches_oracle_across_chunks(monkeypatch, chunk):
+    # the random bodies hold at most 6 lines, which one default chunk takes whole
+    monkeypatch.setattr(postproc, "_MATRIX_CHUNK_LINES", chunk)
+    check_random_cases(3000)
+
+
+HEADER = "S1 10 A B\n"
+ROW = "0.1 0.2\n"
+
+
+@pytest.mark.parametrize(
+    "lines, expected",
+    [
+        # in 3-line chunks, lines 2-4 are the first chunk and lines 5-7 the second
+        ([HEADER, ROW, ROW, ROW, "0.5 x\n", ROW], (5, "non-numeric probability in ['0.5', 'x']")),
+        ([HEADER, ROW, ROW, "0.5\n", ROW, ROW], (4, "expected 2 probabilities, got 1")),
+        (["\n", HEADER, ROW, ROW, "0.5 x\n"], (5, "non-numeric probability in ['0.5', 'x']")),
+        ([HEADER, ROW, "\n", " \n", "\t\n", ROW], 2),
+        ([HEADER, ROW, ROW, ROW, "\n", "\n", "\n", ROW], 4),
+        ([HEADER, ROW, "\n", "\n", "\n", "0.5 x\n"], (6, "non-numeric probability in ['0.5', 'x']")),
+        ([HEADER, ROW, ROW, ROW], 3),
+        ([HEADER], 0),
+    ],
+    ids=[
+        "refused-first-of-second-chunk",
+        "refused-last-of-first-chunk",
+        "blank-before-header",
+        "blanks-straddle",
+        "blank-chunk",
+        "refused-after-blank-chunk",
+        "one-full-chunk",
+        "empty-body",
+    ],
+)
+def test_matrix_chunk_boundaries(monkeypatch, lines, expected):
+    monkeypatch.setattr(postproc, "_MATRIX_CHUNK_LINES", 3)
+    oracle = grammar_oracle(lines)
+    try:
+        values = parse_matrix(iter(lines)).values
+    except ParseError as exc:
+        line, message = expected
+        assert (exc.line, str(exc)) == (line, f"line {line}: {message}")
+        assert (ParseError, message, line) == oracle
+    else:
+        assert values.shape == (expected, 2)
+        assert values.tobytes() == oracle.tobytes()
+
+
+@pytest.mark.parametrize("bad", ["0.5 0.5\n\r", "0.5\n0.5\n", "0.1 0.2\n0.3 0.4\n"])
+def test_matrix_refuses_a_line_break_inside_a_line(bad):
+    with pytest.raises(ParseError) as exc:
+        parse_matrix([HEADER, ROW, bad, ROW])
+    assert (exc.value.line, str(exc.value)) == (3, f"line 3: line break inside the line: {bad!r}")
+
+
+def test_matrix_parse_holds_one_chunk_of_lines():
+    # distinct rows, each read from the stream as its own string
+    rows = 150_000
+    text = "S1 10 A B C D\n" + "".join(
+        f"{i / rows:.6f} {1 - i / rows:.6f} {i % 997 / 997:.4f} 0.5\n" for i in range(rows)
+    )
+    stream = io.StringIO(text)
+    tracemalloc.start()
+    try:
+        values = parse_matrix(stream).values
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert values.shape == (rows, 4)
+    # the parsed chunks and their concatenation, about twice the array; a
+    # list of every line of the body read over 4 times the array
+    assert peak <= 2.5 * values.nbytes, peak / values.nbytes
 
 
 def test_assemble_passthrough_and_ordering():
