@@ -44,6 +44,7 @@ from .postproc import (
     SegmentManifest,
     assemble_transcript,
     binarize_probs,
+    binarize_stream,
     build_manifest,
     smooth_segments,
 )
@@ -87,6 +88,7 @@ __all__ = [
     "aggregate_der",
     "assemble_transcript",
     "binarize_probs",
+    "binarize_stream",
     "brute_force_der",
     "build_manifest",
     "build_regions",

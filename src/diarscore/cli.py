@@ -34,13 +34,12 @@ from .formats import (
 from .fusion import fuse_channels
 from .postproc import (
     assemble_transcript,
-    binarize_probs,
+    binarize_stream,
     build_manifest,
     check_tunables,
     combine_manifests,
     emit_manifest,
     parse_manifest,
-    parse_matrix,
     parse_texts,
     smooth_segments,
 )
@@ -198,7 +197,7 @@ def _cmd_fuse(args) -> int:
 def _cmd_binarize(args) -> int:
     # a bad tunable is refused before the matrix is opened
     check_tunables(args.threshold, max_gap_ms=args.max_gap, min_dur_ms=args.min_dur)
-    d = binarize_probs(_parse_file(parse_matrix, args.matrix), threshold=args.threshold)
+    d = _parse_file(lambda fh: binarize_stream(fh, threshold=args.threshold), args.matrix)
     d = smooth_segments(d, max_gap_ms=args.max_gap, min_dur_ms=args.min_dur)
     _write_output(emit_rttm(d.to_turns()), args.output)
     return 0

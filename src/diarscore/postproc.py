@@ -9,7 +9,10 @@ speaker.
 
 Only the probability matrix is an array: numpy is imported inside the
 functions that read and threshold it, so importing this module (and every
-command but ``binarize``) does not load numpy.
+command but ``binarize``) does not load numpy.  ``binarize_stream``
+thresholds the matrix one chunk of rows at a time as it reads them and
+never builds the whole array; ``parse_matrix`` returns it, for
+``binarize_probs`` or any other use.
 
 External file formats
 ---------------------
@@ -43,6 +46,7 @@ __all__ = [
     "Texts",
     "assemble_transcript",
     "binarize_probs",
+    "binarize_stream",
     "build_manifest",
     "check_tunables",
     "combine_manifests",
@@ -54,7 +58,7 @@ __all__ = [
 
 MANIFEST_HEADER = ("session", "speaker", "start_ms", "dur_ms")
 
-# parse_matrix hands numpy this many body lines at a time.
+# parse_matrix and binarize_stream hand numpy this many body lines at a time.
 _MATRIX_CHUNK_LINES = 1 << 14
 
 
@@ -112,9 +116,24 @@ def parse_matrix(stream: IO[str] | Iterable[str]) -> ProbabilityMatrix:
 
     The stream is read once, _MATRIX_CHUNK_LINES lines at a time, so what
     is held besides the parsed rows is one chunk of lines, and a second
-    copy of the rows while the chunks are joined.
+    copy of the rows while the chunks are joined.  ``binarize_stream``
+    reads the same format without building the array.
     """
+    import numpy as np
+
     lines = iter(stream)
+    session, frame_ms, speakers, lineno = _matrix_header(lines)
+    parts = list(_body_chunks(lines, len(speakers), lineno))
+    values = np.concatenate(parts) if parts else np.empty((0, len(speakers)))
+    return ProbabilityMatrix(session=session, frame_ms=frame_ms, speakers=speakers, values=values)
+
+
+def _matrix_header(lines: Iterator[str]) -> tuple[str, int, tuple[str, ...], int]:
+    """The session, frame length and speakers of the first non-blank line, and its number.
+
+    Reads ``lines`` up to and including that line, and refuses a header
+    that breaks the ProbabilityMatrix contract at its line.
+    """
     for lineno, raw in enumerate(lines, 1):
         if raw.strip():
             header = raw.split()
@@ -133,19 +152,16 @@ def parse_matrix(stream: IO[str] | Iterable[str]) -> ProbabilityMatrix:
         _check_header(session, frame_ms, speakers)
     except DiarscoreError as exc:
         raise type(exc)(str(exc), line=lineno) from None
-    values = _read_body(lines, len(speakers), lineno)
-    return ProbabilityMatrix(session=session, frame_ms=frame_ms, speakers=speakers, values=values)
+    return session, frame_ms, speakers, lineno
 
 
-def _read_body(lines: Iterator[str], width: int, before: int) -> np.ndarray:
-    """The rows of the body lines left in ``lines``, read a chunk at a time.
+def _body_chunks(lines: Iterator[str], width: int, before: int) -> Iterator[np.ndarray]:
+    """The rows of the body lines left in ``lines``, one checked chunk at a time.
 
     ``before`` lines precede the body.  A refused chunk is halved down to
-    its first refused line, which is raised at its line number.
+    its first refused line, which is raised at its line number.  A chunk's
+    lines are dropped before its rows are yielded.
     """
-    import numpy as np
-
-    parts = []
     while chunk := list(itertools.islice(lines, _MATRIX_CHUNK_LINES)):
         values = _read_rows(chunk, width)
         if isinstance(values, DiarscoreError):
@@ -159,10 +175,9 @@ def _read_body(lines: Iterator[str], width: int, before: int) -> np.ndarray:
                     lo = mid
             error = _read_rows(chunk[lo:hi], width)
             raise type(error)(str(error), line=before + lo + 1)
-        parts.append(values)
         before += len(chunk)
-        del chunk  # free these lines before the next chunk is read
-    return np.concatenate(parts) if parts else np.empty((0, width))
+        del chunk  # free these lines before the caller asks for the next chunk
+        yield values
 
 
 def _read_rows(lines: list[str], width: int) -> np.ndarray | DiarscoreError:
@@ -175,7 +190,7 @@ def _read_rows(lines: list[str], width: int) -> np.ndarray | DiarscoreError:
             # comments=None: "#" is a non-numeric field here, not a comment
             values = np.loadtxt(lines, dtype=np.float64, comments=None, ndmin=2)
     except ValueError:  # on one line, a wrong width still outranks a refused field
-        line = lines[0]  # exact for the one line that _read_body raises
+        line = lines[0]  # exact for the one line that _body_chunks raises
         text = line.removesuffix("\n").removesuffix("\r")
         if "\r" in text:
             return ParseError(f"carriage return inside the line: {line!r}")
@@ -207,20 +222,51 @@ def check_tunables(threshold: float = 0.5, max_gap_ms: int = 0, min_dur_ms: int 
 def binarize_probs(matrix: ProbabilityMatrix, threshold: float = 0.5) -> Diarization:
     """Maximal runs of frames with probability >= threshold become intervals."""
     check_tunables(threshold=threshold)
+    return _runs(matrix.session, matrix.frame_ms, matrix.speakers, [matrix.values], threshold)
+
+
+def binarize_stream(stream: IO[str] | Iterable[str], threshold: float = 0.5) -> Diarization:
+    """``binarize_probs(parse_matrix(stream), threshold)`` without the array.
+
+    Each chunk of rows is thresholded as it is read, so what is held is
+    one chunk of lines and its rows plus the intervals found so far.  The
+    threshold is checked before the stream is read; every refusal of the
+    matrix is ``parse_matrix``'s, with the same message and line.
+    """
+    check_tunables(threshold=threshold)
+    lines = iter(stream)
+    session, frame_ms, speakers, lineno = _matrix_header(lines)
+    chunks = _body_chunks(lines, len(speakers), lineno)
+    return _runs(session, frame_ms, speakers, chunks, threshold)
+
+
+def _runs(
+    session: str,
+    frame_ms: int,
+    speakers: tuple[str, ...],
+    chunks: Iterable[np.ndarray],
+    threshold: float,
+) -> Diarization:
+    """Each speaker's maximal runs of frames >= threshold, over consecutive row chunks.
+
+    A run that crosses a chunk boundary is found as one interval in each
+    chunk; Diarization joins a speaker's abutting intervals, so it comes
+    out whole and no run is carried from one chunk to the next.
+    """
     import numpy as np
 
-    speakers: dict[str, list[TimeInterval]] = {}
-    for k, spk in enumerate(matrix.speakers):
-        mask = np.concatenate(([False], matrix.values[:, k] >= threshold, [False]))
-        edges = np.flatnonzero(np.diff(mask.astype(np.int8)))
-        run_starts, run_ends = edges[::2], edges[1::2]
-        intervals = [
-            TimeInterval(int(a) * matrix.frame_ms, int(b - a) * matrix.frame_ms)
-            for a, b in zip(run_starts, run_ends)
-        ]
-        if intervals:
-            speakers[spk] = intervals
-    return Diarization(matrix.session, speakers)
+    found: list[list[TimeInterval]] = [[] for _ in speakers]
+    offset = 0  # frames in the chunks before this one
+    for values in chunks:
+        for k, intervals in enumerate(found):
+            mask = np.concatenate(([False], values[:, k] >= threshold, [False]))
+            edges = (np.flatnonzero(np.diff(mask.astype(np.int8))) + offset).tolist()
+            intervals.extend(
+                TimeInterval(a * frame_ms, (b - a) * frame_ms)
+                for a, b in zip(edges[::2], edges[1::2])
+            )
+        offset += len(values)
+    return Diarization(session, dict(zip(speakers, found)))  # it drops empty speakers
 
 
 def smooth_segments(d: Diarization, max_gap_ms: int = 300, min_dur_ms: int = 200) -> Diarization:

@@ -8,16 +8,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from diarscore import postproc
+from diarscore import cli, postproc
 from diarscore.cpcer import concat_by_speaker
 from diarscore.errors import ParseError, ValidationError
-from diarscore.formats import TimeInterval
+from diarscore.formats import TimeInterval, emit_rttm
 from diarscore.postproc import (
     ManifestRow,
     ProbabilityMatrix,
     SegmentManifest,
     assemble_transcript,
     binarize_probs,
+    binarize_stream,
     build_manifest,
     combine_manifests,
     emit_manifest,
@@ -297,21 +298,30 @@ def random_matrix_lines(rng):
 
 
 def check_random_cases(cases):
-    """parse_matrix against grammar_oracle on random bodies: the outcomes seen."""
+    """parse_matrix against grammar_oracle on random bodies: the outcomes seen.
+
+    binarize_stream must refuse a body exactly as parse_matrix does, and
+    otherwise return what binarize_probs returns on the parsed matrix.
+    """
     outcomes = Counter()
     rng = np.random.default_rng(2022)
     for _ in range(cases):
         lines = random_matrix_lines(rng)
         expected = grammar_oracle(lines)
         try:
-            values = parse_matrix(lines).values
+            parsed = parse_matrix(lines)
         except (ParseError, ValidationError) as exc:
             assert isinstance(expected, tuple), lines
             error, message, line = expected
             assert (type(exc), str(exc), exc.line) == (error, f"line {line}: {message}", line), lines
+            with pytest.raises(error) as streamed:
+                binarize_stream(lines)
+            assert (str(streamed.value), streamed.value.line) == (str(exc), line), lines
             outcomes[message.split()[0]] += 1
         else:
+            values = parsed.values
             assert (values.shape, values.tobytes()) == (expected.shape, expected.tobytes()), lines
+            assert binarize_stream(lines) == binarize_probs(parsed), lines
             outcomes["values"] += 1
     return outcomes
 
@@ -398,6 +408,104 @@ def test_matrix_parse_holds_one_chunk_of_lines():
     # the parsed chunks and their concatenation, about twice the array; a
     # list of every line of the body read over 4 times the array
     assert peak <= 2.5 * values.nbytes, peak / values.nbytes
+
+
+ROW_TEXT = {0.0: "0", 0.3: "0.3", 0.5: "0.5", 0.7: "0.7", 1.0: "1"}
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 3).flatmap(
+        lambda k: st.lists(
+            st.one_of(
+                st.none(),  # a blank line, which holds no frame
+                st.lists(st.sampled_from([0.0, 0.3, 0.5, 0.7, 1.0]), min_size=k, max_size=k),
+            ),
+            max_size=12,
+        ).map(lambda rows: (k, rows))
+    ),
+    st.sampled_from([0.3, 0.5, 0.6]),
+)
+def test_binarize_stream_matches_the_array_route(shaped, threshold):
+    width, rows = shaped
+    text = " ".join(["S1", "10", *"ABC"[:width]]) + "\n"
+    for row in rows:
+        text += "\n" if row is None else " ".join(map(ROW_TEXT.get, row)) + "\n"
+    expected = binarize_probs(parse_matrix(io.StringIO(text)), threshold)
+    # the runs found frame by frame, as the reference for both routes
+    frames = [row for row in rows if row is not None]
+    runs = {}
+    for k, speaker in enumerate("ABC"[:width]):
+        above = [i for i, row in enumerate(frames) if row[k] >= threshold]
+        runs[speaker] = [(10 * i, 10) for i in above]  # Diarization merges abutting frames
+    assert expected == Diarization("S1", runs)
+    for chunk in (1, 2, 3, postproc._MATRIX_CHUNK_LINES):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(postproc, "_MATRIX_CHUNK_LINES", chunk)
+            assert binarize_stream(io.StringIO(text), threshold) == expected, chunk
+
+
+ON, OFF, BOTH = "0.9 0.1\n", "0.1 0.1\n", "0.9 0.9\n"
+
+
+@pytest.mark.parametrize(
+    "body, expected",
+    [
+        # in 3-line chunks, frames 0-2 are the first chunk, 3-5 the second, 6-8 the third
+        ([OFF, ON, ON, ON, ON, ON, ON, ON, OFF], {"A": [(10, 70)]}),
+        ([ON, ON, OFF, OFF], {"A": [(0, 20)]}),
+        ([OFF, OFF, OFF, OFF, BOTH], {"A": [(40, 10)], "B": [(40, 10)]}),
+        ([OFF, BOTH, BOTH], {"A": [(10, 20)], "B": [(10, 20)]}),
+        ([ON, ON, ON, "\n", " \n", "\n", ON, OFF], {"A": [(0, 40)]}),
+        (
+            [ON, BOTH, "\n", "\n", "\n", OFF, BOTH],
+            {"A": [(0, 20), (30, 10)], "B": [(10, 10), (30, 10)]},
+        ),
+        ([], {}),
+    ],
+    ids=[
+        "run-across-two-boundaries",
+        "run-from-frame-0",
+        "run-on-last-frame",
+        "run-to-full-last-chunk",
+        "run-across-blank-chunk",
+        "runs-around-blank-chunk",
+        "empty-body",
+    ],
+)
+def test_binarize_stream_chunk_boundaries(monkeypatch, body, expected):
+    monkeypatch.setattr(postproc, "_MATRIX_CHUNK_LINES", 3)
+    lines = [HEADER, *body]
+    d = binarize_stream(iter(lines))
+    assert d == Diarization("S1", expected)
+    assert d == binarize_probs(parse_matrix(iter(lines)))
+
+
+def test_binarize_command_never_builds_the_array(tmp_path):
+    # distinct rows, as in test_matrix_parse_holds_one_chunk_of_lines
+    rows = 150_000
+    path = tmp_path / "probs.txt"
+    path.write_text(
+        "S1 10 A B C D\n"
+        + "".join(
+            f"{i / rows:.6f} {1 - i / rows:.6f} {i % 997 / 997:.4f} 0.5\n" for i in range(rows)
+        ),
+        encoding="utf-8",
+    )
+    array_bytes = rows * 4 * np.dtype(np.float64).itemsize
+    out = tmp_path / "out.rttm"
+    tracemalloc.start()
+    try:
+        assert cli.main(["binarize", str(path), "-o", str(out)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    with open(path, encoding="utf-8") as fh:
+        expected = smooth_segments(binarize_probs(parse_matrix(fh)))
+    assert out.read_text(encoding="utf-8") == emit_rttm(expected.to_turns())
+    # one chunk of lines and its rows; parsing the whole array first held
+    # it twice, over 2 times its size
+    assert peak <= array_bytes, peak / array_bytes
 
 
 def test_assemble_passthrough_and_ordering():
