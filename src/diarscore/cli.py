@@ -95,8 +95,10 @@ def _report_scores(
     pools the results into OVERALL, and ``rates`` gives the four rates of a
     result, named by ``columns``.  Stdout gets the version and tunable
     header lines and the aligned table; ``--tsv`` gets the same rows.  A
-    session whose rates are undefined is an error that names it, raised
-    right after it is scored, before anything is written.
+    session whose rates are undefined (an empty reference) reads
+    ``undefined`` in every rate cell, with a warning that names it; its
+    counts still go into OVERALL.  Only an undefined OVERALL is an error,
+    raised before anything is written.
     """
     common = sorted(refs.keys() & hyps.keys())
     for missing in sorted(refs.keys() - hyps.keys()):
@@ -106,12 +108,15 @@ def _report_scores(
     if not common:
         raise ValidationError("no overlapping sessions between reference and hypothesis")
 
-    def row(label: str, result: S) -> list[str]:
-        # the one place an undefined rate becomes an error
+    def row(label: str, result: S, overall: bool = False) -> list[str]:
+        # the one place an undefined rate is reported
         try:
             return [label, *map(percent, rates(result))]
         except UndefinedMetricError:
-            raise UndefinedMetricError(f"session {label!r} has an empty reference") from None
+            if overall:
+                raise UndefinedMetricError(f"session {label!r} has an empty reference") from None
+            logger.warning("session %s has an empty reference; its rates are undefined", label)
+            return [label, *["undefined"] * len(columns)]
 
     results = []
     rows = []
@@ -119,7 +124,7 @@ def _report_scores(
         result = score(session, refs[session], hyps[session])
         results.append(result)
         rows.append(row(session, result))
-    rows.append(row("OVERALL", aggregate(results)))
+    rows.append(row("OVERALL", aggregate(results), overall=True))
     headers = ["Session", *columns]
     header_lines = f"# diarscore {__version__} {args.command}\n"
     header_lines += "".join(f"# {tunable}\n" for tunable in tunables)

@@ -152,18 +152,29 @@ def _histogram_bounds(
     that uses exact cells only has a true tie-broken total strictly below
     the bounded total of any other assignment, hence below that
     assignment's true total: it is the full matrix's optimum too.
+
+    At most one histogram per side is alive at a time: a reference
+    stream's for its row, and a hypothesis stream's for one cell, dropped
+    when that cell is filled.  The common count walks the smaller of the
+    two, so no key intersection is built.
     """
-    r_hists = [Counter(t) for t in r_texts]
-    h_hists = [Counter(t) for t in h_texts]
     cost = IntMatrix(len(r_texts), len(h_texts))
     inexact = set()
-    for i, (rt, cr) in enumerate(zip(r_texts, r_hists)):
-        for j, (ht, ch) in enumerate(zip(h_texts, h_hists)):
-            common = sum(min(cr[c], ch[c]) for c in cr.keys() & ch.keys())
+    for i, rt in enumerate(r_texts):
+        cr = Counter(rt)
+        for j, ht in enumerate(h_texts):
+            common = _common_count(cr, ht)
             cost[i, j] = max(len(rt), len(ht)) - common
             if common:
                 inexact.add((i, j))
     return cost, inexact
+
+
+def _common_count(cr: Counter[str], text: str) -> int:
+    """sum_c min(cr[c], c_text[c]); the histogram of text lives only in this call."""
+    ch = Counter(text)
+    small, large = (cr, ch) if len(cr) <= len(ch) else (ch, cr)
+    return sum(min(n, large.get(c, 0)) for c, n in small.items())
 
 
 def compute_cpcer(ref: SpeakerText, hyp: SpeakerText, mode: str = "assignment") -> CpcerResult:

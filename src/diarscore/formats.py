@@ -90,9 +90,12 @@ class SpeakerTurn(NamedTuple):
     interval: TimeInterval
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TranscriptEntry:
-    """One transcript utterance; order_key is the line index or a start time."""
+    """One transcript utterance; order_key is the line index or a start time.
+
+    Slotted: an entry holds its four fields and no ``__dict__``.
+    """
 
     speaker: str
     session: str
@@ -246,9 +249,14 @@ def parse_transcript(stream: IO[str] | Iterable[str]) -> list[TranscriptEntry]:
     index among parsed entries.  A malformed utterance ID is a ParseError
     and a session or speaker that ``check_id`` rejects a ValidationError,
     each at its line.
+
+    Each distinct utterance ID is split and checked once, at its first
+    line, and every entry with that ID shares the same speaker and session
+    objects.  So what is held per line is one slotted entry and its text;
+    the IDs are held once per utterance ID.
     """
     entries = []
-    checked: set[tuple[str, str]] = set()
+    ids: dict[str, tuple[str, str]] = {}  # utterance ID -> checked (speaker, session)
     for lineno, raw in enumerate(stream, 1):
         line = raw.rstrip("\r\n")
         if not line.strip():
@@ -260,14 +268,16 @@ def parse_transcript(stream: IO[str] | Iterable[str]) -> list[TranscriptEntry]:
             uid, text = parts[0], ""  # separator present, text empty
         else:
             raise ParseError("no text column after the utterance ID", line=lineno)
-        try:
-            speaker, session = split_utterance_id(uid)
-            _check_ids(session, speaker, checked)
-        except DiarscoreError as exc:
-            raise type(exc)(str(exc), line=lineno) from None
-        entries.append(
-            TranscriptEntry(speaker=speaker, session=session, text=text, order_key=len(entries))
-        )
+        pair = ids.get(uid)
+        if pair is None:
+            try:
+                speaker, session = split_utterance_id(uid)
+                check_id("session", session)
+                check_id("speaker", speaker)
+            except DiarscoreError as exc:
+                raise type(exc)(str(exc), line=lineno) from None
+            pair = ids[uid] = (speaker, session)
+        entries.append(TranscriptEntry(pair[0], pair[1], text, len(entries)))
     return entries
 
 

@@ -1,13 +1,18 @@
-"""Test-only helpers: random turns, a ledger reader, a speech and a character total."""
+"""Test-only helpers: random turns, a ledger reader, speech and character totals,
+the all-histogram form of the cpCER lower bounds and a traced memory peak."""
 
 from __future__ import annotations
 
 import random
-from typing import Iterable
+import tracemalloc
+from collections import Counter
+from typing import Callable, Iterable, Sequence, TypeVar
 
 from diarscore.cpcer import SpeakerText
 from diarscore.formats import SpeakerTurn, TimeInterval
 from diarscore.timeline import Diarization
+
+T = TypeVar("T")
 
 
 def random_turn_list(seed: int, max_sessions: int = 3, max_turns: int = 30) -> list[SpeakerTurn]:
@@ -44,3 +49,36 @@ def total_speech(d: Diarization) -> int:
 def total_chars(text: SpeakerText) -> int:
     """Sum of the lengths of all speakers' normalized character streams."""
     return sum(len(t) for t in text.streams.values())
+
+
+def histogram_bounds_oracle(
+    r_texts: Sequence[str], h_texts: Sequence[str]
+) -> tuple[list[list[int]], set[tuple[int, int]]]:
+    """``cpcer._histogram_bounds`` as first written: every histogram built up front.
+
+    The cost rows and the inexact cells, from one Counter per stream and
+    the key intersection of each pair.
+    """
+    r_hists = [Counter(t) for t in r_texts]
+    h_hists = [Counter(t) for t in h_texts]
+    cost = []
+    inexact = set()
+    for i, (rt, cr) in enumerate(zip(r_texts, r_hists)):
+        row = []
+        for j, (ht, ch) in enumerate(zip(h_texts, h_hists)):
+            common = sum(min(cr[c], ch[c]) for c in cr.keys() & ch.keys())
+            row.append(max(len(rt), len(ht)) - common)
+            if common:
+                inexact.add((i, j))
+        cost.append(row)
+    return cost, inexact
+
+
+def traced_peak(fn: Callable[..., T], *args) -> tuple[T, int]:
+    """fn(*args) and the peak of the memory tracemalloc traced during the call."""
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()

@@ -1,5 +1,4 @@
 import random
-import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -8,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from diarscore import cer as cer_module
 from diarscore.cer import EditCounts, edit_counts, edit_distance, normalize_text
 from diarscore.errors import UndefinedMetricError, ValidationError
+from support import traced_peak
 
 
 def oracle_distance(a: str, b: str) -> int:
@@ -239,15 +239,6 @@ def test_counts_match_oracle_with_shared_affixes(pair):
 def test_counts_match_oracle_on_nested_affixes(ref, hyp):
     check_against_oracle(ref, hyp)
     check_against_oracle(hyp, ref)
-
-
-def traced_peak(fn, *args):
-    tracemalloc.start()
-    try:
-        result = fn(*args)
-        return result, tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
 
 
 def cjk_stream(size: int) -> str:

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -13,7 +14,7 @@ from diarscore import __version__
 from diarscore.cli import main
 from diarscore.formats import emit_rttm, emit_transcript, parse_rttm, parse_transcript
 from diarscore.synth import generate_session
-from support import total_chars, total_speech
+from support import total_chars, total_speech, traced_peak
 
 
 @pytest.fixture
@@ -802,7 +803,7 @@ def test_assemble_checks_ids_at_their_line(capsys, tmp_path, manifest_rows, text
     assert run(capsys, "assemble", "--manifest", manifest, "--texts", texts) == (1, "", stderr)
 
 
-def test_an_empty_reference_session_is_an_error(capsys, tmp_path):
+def test_an_empty_reference_session_reads_undefined(capsys, caplog, tmp_path):
     # S2's reference is punctuation only: its counts exist, its rates do not
     ref = tmp_path / "ref.trn"
     hyp = tmp_path / "hyp.trn"
@@ -810,9 +811,54 @@ def test_an_empty_reference_session_is_an_error(capsys, tmp_path):
     ref.write_text("SPK01_S1 你好\nSPK01_S2 。\nSPK01_S3 再见\n", encoding="utf-8")
     hyp.write_text("SPK01_S1 你好\nSPK01_S2 世界\nSPK01_S3 再见\n", encoding="utf-8")
     for extra in ([], ["--brute-force"]):
+        caplog.clear()
         argv = ["score-cpcer", "--ref-trn", ref, "--hyp-trn", hyp, "--tsv", tsv, *extra]
-        assert run(capsys, *argv) == (1, "", "error: session 'S2' has an empty reference\n")
-        assert not tsv.exists()
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        table = out.splitlines()[3:]
+        assert [line.split() for line in table] == [
+            ["Session", "S", "D", "I", "cpCER"],
+            ["S1", "0.00", "0.00", "0.00", "0.00"],
+            ["S2", *["undefined"] * 4],
+            ["S3", "0.00", "0.00", "0.00", "0.00"],
+            # S2's 2 insertions over the 4 reference characters of S1 and S3
+            ["OVERALL", "0.00", "0.00", "50.00", "50.00"],
+        ]
+        tsv_rows = tsv.read_text(encoding="utf-8").splitlines()
+        assert tsv_rows[2] == "\t".join(["S2", *["undefined"] * 4])
+        assert [r.getMessage() for r in caplog.records] == [
+            "session S2 has an empty reference; its rates are undefined"
+        ]
+
+
+def test_an_empty_overall_reference_is_an_error(capsys, tmp_path):
+    ref = tmp_path / "ref.trn"
+    hyp = tmp_path / "hyp.trn"
+    tsv = tmp_path / "out.tsv"
+    ref.write_text("SPK01_S1 。\nSPK01_S2 ！\n", encoding="utf-8")
+    hyp.write_text("SPK01_S1 你好\nSPK01_S2 世界\n", encoding="utf-8")
+    argv = ["score-cpcer", "--ref-trn", ref, "--hyp-trn", hyp, "--tsv", tsv]
+    assert run(capsys, *argv) == (1, "", "error: session 'OVERALL' has an empty reference\n")
+    assert not tsv.exists()
+
+
+def test_score_cpcer_holds_one_entry_per_line_and_one_histogram_per_side(tmp_path):
+    # 6,000 lines over 4 speakers, each character of the file distinct, so
+    # each stream's histogram has 4,500 keys; hypothesis = reference
+    lines, chars = 6_000, 3
+    trn = tmp_path / "ref.trn"
+    texts = ["".join(chr(0x4E00 + k * chars + c) for c in range(chars)) for k in range(lines)]
+    trn.write_text("".join(f"SPK{k % 4}_S1 {t}\n" for k, t in enumerate(texts)), encoding="utf-8")
+    argv = ["score-cpcer", "--ref-trn", trn, "--hyp-trn", trn]
+    (code, out, _), peak = traced_peak(run_quiet, argv)
+    assert code == 0 and out.splitlines()[-1].split() == ["OVERALL", *["0.00"] * 4]
+    # what has to be held: the text of every line on both sides and one
+    # histogram of the longest stream per side
+    _, histogram = traced_peak(Counter, "".join(texts[::4]))
+    held = 2 * sum(map(sys.getsizeof, texts)) + 2 * histogram
+    # a __dict__ and two ID strings per line and every histogram at once
+    # came to over 4 times that
+    assert peak <= 2.5 * held, peak / held
 
 
 INVISIBLE_ARGV = {

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -15,6 +16,7 @@ from diarscore.cpcer import (
 from diarscore.errors import SessionMismatchError, UndefinedMetricError
 from diarscore.formats import SpeakerTurn, TimeInterval, TranscriptEntry
 from diarscore.synth import generate_session
+from support import histogram_bounds_oracle, traced_peak
 
 
 def entry(speaker, text, key, session="S1"):
@@ -167,6 +169,32 @@ def test_histogram_bound_never_exceeds_distance(ref_texts, hyp_texts):
                 assert (i, j) not in inexact
             if (i, j) not in inexact:
                 assert cost[i, j] == distance
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_alphabet_streams, small_alphabet_streams, st.booleans())
+def test_histogram_bounds_match_the_all_histogram_formula(ref_texts, hyp_texts, pad):
+    if pad:  # the square shape compute_cpcer passes, empty streams appended
+        size = max(len(ref_texts), len(hyp_texts))
+        ref_texts = cpcer._pad(ref_texts, ref_texts, size)[1]
+        hyp_texts = cpcer._pad(hyp_texts, hyp_texts, size)[1]
+    cost, inexact = cpcer._histogram_bounds(ref_texts, hyp_texts)
+    assert (cost.tolist(), inexact) == histogram_bounds_oracle(ref_texts, hyp_texts)
+
+
+def test_histogram_bounds_hold_one_histogram_per_side():
+    # 4 x 4 streams, each the same 3,000 distinct characters in its own
+    # order: every histogram is large and every pair shares every key
+    rng = random.Random(3)
+    pool = [chr(0x4E00 + k) for k in range(3000)]
+    refs, hyps = (["".join(rng.sample(pool, len(pool))) for _ in range(4)] for _ in range(2))
+    longest = max(refs + hyps, key=len)
+    _, one = traced_peak(Counter, longest)
+    (cost, inexact), peak = traced_peak(cpcer._histogram_bounds, refs, hyps)
+    assert (cost.tolist(), inexact) == histogram_bounds_oracle(refs, hyps)
+    # a reference histogram and the one hypothesis histogram being built;
+    # every histogram at once plus a key set per pair took over 7 times one
+    assert peak <= 2.5 * one, peak / one
 
 
 def zipf_streams(rng, speakers, length, pool_size=3000, edit_rate=0.1):
