@@ -26,7 +26,7 @@ import logging
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations
+from itertools import permutations, repeat
 from typing import Iterable, Mapping, Sequence
 
 from .assignment import IntMatrix, lexsmallest_assignment
@@ -174,7 +174,8 @@ def _common_count(cr: Counter[str], text: str) -> int:
     """sum_c min(cr[c], c_text[c]); the histogram of text lives only in this call."""
     ch = Counter(text)
     small, large = (cr, ch) if len(cr) <= len(ch) else (ch, cr)
-    return sum(min(n, large.get(c, 0)) for c, n in small.items())
+    # summed at C level: no Python frame per key of the smaller histogram
+    return sum(map(min, small.values(), map(large.get, small, repeat(0))))
 
 
 def compute_cpcer(ref: SpeakerText, hyp: SpeakerText, mode: str = "assignment") -> CpcerResult:

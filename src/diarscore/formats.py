@@ -7,8 +7,10 @@ RTTM lines carry 10 whitespace-separated fields:
 with start/duration in decimal seconds: ASCII digits, optionally a point
 and at most 3 fractional digits.  Times are stored internally as
 integer milliseconds; parsing is exact decimal (no binary floating point
-touches the data path).  Emission writes 2 decimals for times on the 10 ms
-grid and 3 for any other time, so emitted files re-parse exactly.
+touches the data path).  A turn must end by ``MAX_END_MS`` = 2**63 - 1 ms
+(about 292 million years), the largest time a Diarization can hold.
+Emission writes 2 decimals for times on the 10 ms grid and 3 for any
+other time, so emitted files re-parse exactly.
 
 A SpeakerTurn is one SPEAKER record as a plain tuple.  RTTM is read as a
 stream: one reader makes one pass over the lines of an open file and
@@ -42,6 +44,10 @@ _OTHER_RTTM_TYPES = frozenset(
     "SEGMENT NOSCORE NO_RT_METADATA LEXEME NON-LEX NON-SPEECH FILLER EDIT IP CB A/P SU"
     " SPKR-INFO".split()
 )
+
+
+# the latest end of any turn: Diarization packs times into signed 64-bit ints
+MAX_END_MS = 2**63 - 1
 
 
 class TimeInterval(NamedTuple):
@@ -154,10 +160,10 @@ def _rttm_turns(stream: IO[str] | Iterable[str]) -> Iterator[SpeakerTurn]:
     there was more than one.  Any other first field (a transcript line, or
     a SPEAKER behind a byte-order mark inside two joined files) is a
     ParseError, as are lines with fewer than 9 fields and malformed times;
-    negative times, non-positive durations and ids that ``check_id``
-    refuses are a ValidationError.  Every error carries the offending line
-    number in ``line``.  The id checks run once per distinct (session,
-    speaker) pair.
+    negative times, non-positive durations, turns that end past
+    ``MAX_END_MS`` and ids that ``check_id`` refuses are a ValidationError.
+    Every error carries the offending line number in ``line``.  The id
+    checks run once per distinct (session, speaker) pair.
     """
     checked: set[tuple[str, str]] = set()
     skipped = 0
@@ -184,6 +190,8 @@ def _rttm_turns(stream: IO[str] | Iterable[str]) -> Iterator[SpeakerTurn]:
             if dur <= 0:
                 # start is never negative: seconds_to_ms rejects negative times
                 raise ValidationError(f"non-positive duration: {dur} ms")
+            if start + dur > MAX_END_MS:
+                raise ValidationError(f"turn ends past 2**63 - 1 ms: {start} + {dur} ms")
         except DiarscoreError as exc:
             raise type(exc)(str(exc), line=lineno) from None
         # tuple.__new__ skips the Python-level __new__ of both NamedTuples,
@@ -212,8 +220,9 @@ def emit_rttm(turns: Iterable[SpeakerTurn]) -> str:
     Times on the 10 ms grid carry 2 decimals; any other time carries the
     exact milliseconds in 3 decimals.  A turn whose line would not re-parse
     to the same turn is a ValidationError: an empty session, channel or
-    speaker or one with whitespace, a negative start, or a non-positive
-    duration.  So every file written re-parses to the same turns.
+    speaker or one with whitespace, a negative start, a non-positive
+    duration, or an end past ``MAX_END_MS``.  So every file written
+    re-parses to the same turns.
     """
     ordered = sorted(turns, key=lambda t: (t.session, t.interval.start, t.speaker))
     checked: set[tuple[str, str, str]] = set()
@@ -228,6 +237,8 @@ def emit_rttm(turns: Iterable[SpeakerTurn]) -> str:
             raise ValidationError(f"negative start time: {start} ms")
         if dur <= 0:
             raise ValidationError(f"non-positive duration: {dur} ms")
+        if start + dur > MAX_END_MS:
+            raise ValidationError(f"turn ends past 2**63 - 1 ms: {start} + {dur} ms")
         lines.append(
             f"SPEAKER {session} {channel} {_rttm_seconds(start)} {_rttm_seconds(dur)}"
             f" <NA> <NA> {speaker} <NA> <NA>\n"

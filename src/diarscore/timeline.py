@@ -7,14 +7,25 @@ interval arithmetic is closed-open [start, start + dur) on integer
 milliseconds, so regions tile the span exactly with no double counting.
 ``by_session`` is the one grouper of SpeakerTurns into Diarizations: a
 parsed list and the CLI's stream of turns both go through it.
+
+A Diarization stores each speaker's intervals packed: one ``array('q')``
+of start, dur, start, dur, ... in milliseconds, 16 bytes per interval
+where a tuple of TimeIntervals takes 144.  The tiling and the speaker
+map read these arrays; a speaker's tuple of TimeIntervals is built the
+first time ``intervals`` or ``items`` asks for it, and then kept.  So
+every interval must end by 2**63 - 1 ms; one that ends later is a
+ValidationError.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from array import array
+from itertools import repeat
+from operator import add, lt
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import SessionMismatchError, ValidationError
-from .formats import SpeakerTurn, TimeInterval, check_id
+from .formats import MAX_END_MS, SpeakerTurn, TimeInterval, check_id
 
 __all__ = [
     "Diarization",
@@ -25,107 +36,164 @@ __all__ = [
     "pairwise_overlap",
 ]
 
+# tuple.__new__ skips the Python-level __new__ of a NamedTuple, which would
+# double the cost of each TimeInterval and SpeakerTurn built from the arrays
+_new_tuple = tuple.__new__
 
-def _normalize(intervals: Iterable[TimeInterval | tuple[int, int]]) -> tuple[TimeInterval, ...]:
-    parsed = [iv if isinstance(iv, TimeInterval) else TimeInterval(*iv) for iv in intervals]
-    for iv in parsed:
-        if iv.start < 0:
-            raise ValidationError(f"negative interval start: {iv}")
-        if iv.dur <= 0:
-            raise ValidationError(f"non-positive interval duration: {iv}")
-    parsed.sort()
-    merged: list[TimeInterval] = []
+
+def _pack(intervals: Iterable[TimeInterval | tuple[int, int]] | array) -> array:
+    """One speaker's intervals, sorted, merged and packed as (start, dur) pairs.
+
+    An ``array('q')`` holds the pairs flat.  One that is already sorted with
+    a gap between neighbours is checked at C level and copied as it is;
+    any other input is sorted and merged by ``_normalize``.
+    """
+    if isinstance(intervals, array):
+        if intervals.typecode != "q" or len(intervals) % 2:
+            raise ValidationError("a packed interval array holds 'q' (start, dur) pairs")
+        starts, durs = intervals[0::2], intervals[1::2]
+        if not starts or (
+            starts[0] >= 0
+            and min(durs) > 0
+            and starts[-1] + durs[-1] <= MAX_END_MS
+            and all(map(lt, map(add, starts, durs), starts[1:]))
+        ):
+            return intervals[:]
+        return _normalize(list(zip(starts, durs)))
+    return _normalize(
+        [iv if isinstance(iv, TimeInterval) else TimeInterval(*iv) for iv in intervals]
+    )
+
+
+def _normalize(pairs: list[tuple[int, int]]) -> array:
+    """Check, sort and merge (start, dur) pairs into one packed array."""
+    for start, dur in pairs:
+        if start < 0:
+            raise ValidationError(f"negative interval start: {TimeInterval(start, dur)}")
+        if dur <= 0:
+            raise ValidationError(f"non-positive interval duration: {TimeInterval(start, dur)}")
+        if start + dur > MAX_END_MS:
+            raise ValidationError(f"interval ends past 2**63 - 1 ms: {TimeInterval(start, dur)}")
+    pairs.sort()
+    merged: list[int] = []  # start, dur, start, dur, ...
     end = -1  # end of the last merged interval; starts are never negative
-    for iv in parsed:
-        start, dur = iv
+    for start, dur in pairs:
         if start > end:
-            merged.append(iv)  # an interval that merges with nothing is kept as is
+            merged += (start, dur)
             end = start + dur
         elif start + dur > end:
             # merge overlapping or touching intervals of the same speaker
             end = start + dur
-            merged[-1] = TimeInterval(merged[-1].start, end - merged[-1].start)
-    return tuple(merged)
+            merged[-1] = end - merged[-2]
+    return array("q", merged)
+
+
+def _time_intervals(packed: array) -> Iterator[TimeInterval]:
+    """The TimeIntervals of packed (start, dur) pairs, built one at a time."""
+    return map(_new_tuple, repeat(TimeInterval), zip(packed[0::2], packed[1::2]))
 
 
 class Diarization:
-    """Per-session map of speaker id -> disjoint sorted speech intervals."""
+    """Per-session map of speaker id -> disjoint sorted speech intervals.
 
-    def __init__(self, session: str, speakers: Mapping[str, Iterable[TimeInterval | tuple[int, int]]]):
+    Each speaker's intervals are held as packed (start, dur) pairs; its
+    tuple of TimeIntervals is built on first request and kept.
+    """
+
+    def __init__(
+        self,
+        session: str,
+        speakers: Mapping[str, Iterable[TimeInterval | tuple[int, int]] | array],
+    ):
         check_id("session", session)
         self.session = session
-        normalized = {}
+        packed = {}
         for spk in sorted(speakers):
             check_id("speaker id", spk)
-            intervals = _normalize(speakers[spk])
+            intervals = _pack(speakers[spk])
             if intervals:
-                normalized[spk] = intervals
-        self._speakers = normalized
+                packed[spk] = intervals
+        self._packed = packed
+        self._tuples: dict[str, tuple[TimeInterval, ...]] = {}
 
     @property
     def speaker_ids(self) -> tuple[str, ...]:
-        return tuple(self._speakers)
+        return tuple(self._packed)
 
     def intervals(self, speaker: str) -> tuple[TimeInterval, ...]:
-        return self._speakers[speaker]
+        intervals = self._tuples.get(speaker)
+        if intervals is None:
+            intervals = self._tuples[speaker] = tuple(_time_intervals(self._packed[speaker]))
+        return intervals
 
     def items(self):
-        return self._speakers.items()
+        return {spk: self.intervals(spk) for spk in self._packed}.items()
 
     def extent(self) -> TimeInterval | None:
         """Smallest interval covering all speech, or None when empty."""
-        if not self._speakers:
+        if not self._packed:
             return None
-        start = min(ivs[0].start for ivs in self._speakers.values())
-        end = max(ivs[-1].end for ivs in self._speakers.values())
+        start = min(packed[0] for packed in self._packed.values())
+        end = max(packed[-2] + packed[-1] for packed in self._packed.values())
         return TimeInterval(start, end - start)
 
     def relabel(self, mapping: Mapping[str, str]) -> "Diarization":
         """Rename speakers; ids absent from the mapping are kept as-is."""
-        renamed: dict[str, list[TimeInterval]] = {}
-        for spk, ivs in self._speakers.items():
-            renamed.setdefault(mapping.get(spk, spk), []).extend(ivs)
+        renamed: dict[str, array] = {}
+        for spk, packed in self._packed.items():
+            new = mapping.get(spk, spk)
+            renamed[new] = renamed[new] + packed if new in renamed else packed
         return Diarization(self.session, renamed)
 
     def merged_with(self, other: "Diarization") -> "Diarization":
         """Per-speaker union of two diarizations of the same session."""
         if other.session != self.session:
             raise SessionMismatchError(f"{self.session!r} vs {other.session!r}")
-        combined: dict[str, list[TimeInterval]] = {s: list(ivs) for s, ivs in self._speakers.items()}
-        for spk, ivs in other.items():
-            combined.setdefault(spk, []).extend(ivs)
+        combined = dict(self._packed)
+        for spk, packed in other._packed.items():
+            combined[spk] = combined[spk] + packed if spk in combined else packed
         return Diarization(self.session, combined)
 
     def to_turns(self) -> list[SpeakerTurn]:
         """One SpeakerTurn per interval, all on channel "1"."""
         return [
-            SpeakerTurn(session=self.session, channel="1", speaker=spk, interval=iv)
-            for spk, ivs in self._speakers.items()
-            for iv in ivs
+            _new_tuple(SpeakerTurn, (self.session, "1", spk, iv))
+            for spk, packed in self._packed.items()
+            for iv in _time_intervals(packed)
         ]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Diarization):
             return NotImplemented
-        return self.session == other.session and self._speakers == other._speakers
+        return self.session == other.session and self._packed == other._packed
 
     def __repr__(self) -> str:
-        return f"Diarization({self.session!r}, {len(self._speakers)} speakers)"
+        return f"Diarization({self.session!r}, {len(self._packed)} speakers)"
 
 
 def by_session(turns: Iterable[SpeakerTurn]) -> dict[str, Diarization]:
     """Group turns into one Diarization per session, in session order;
-    channels are not kept."""
-    sessions: dict[str, dict[str, list[TimeInterval]]] = {}
-    for session, _, speaker, interval in turns:
+    channels are not kept.
+
+    Each (session, speaker) gets one packed array as the turns arrive, so
+    no TimeInterval is kept past its turn.
+    """
+    sessions: dict[str, dict[str, array]] = {}
+    for session, _, speaker, (start, dur) in turns:
         speakers = sessions.get(session)
         if speakers is None:
             speakers = sessions[session] = {}
-        intervals = speakers.get(speaker)
-        if intervals is None:
-            intervals = speakers[speaker] = []
-        intervals.append(interval)
-    return {s: Diarization(s, speakers) for s, speakers in sorted(sessions.items())}
+        packed = speakers.get(speaker)
+        if packed is None:
+            packed = speakers[speaker] = array("q")
+        try:
+            packed.append(start)
+            packed.append(dur)
+        except OverflowError:  # past int64: refused with the reason _normalize gives
+            _normalize([(start, dur)])
+            raise
+    # each session's arrays are dropped once its Diarization holds its copies
+    return {s: Diarization(s, sessions.pop(s)) for s in sorted(sessions)}
 
 
 # total ms of each distinct (ref active set, hyp active set) of a tiling
@@ -164,13 +232,14 @@ def joint_regions(
         if d.session != session:
             raise SessionMismatchError(f"{session!r} vs {d.session!r}")
         bits = 0
-        for spk, ivs in d.items():
+        for spk, packed in d._packed.items():
             bit = 1 << len(names)
             names.append(spk)
             bits |= bit
-            for iv in ivs:
-                flips[iv.start] = flips.get(iv.start, 0) ^ bit
-                flips[iv.end] = flips.get(iv.end, 0) ^ bit
+            starts = packed[0::2]
+            for start, end in zip(starts, map(add, starts, packed[1::2])):
+                flips[start] = flips.get(start, 0) ^ bit
+                flips[end] = flips.get(end, 0) ^ bit
         owned.append(bits)
     frozen: dict[int, frozenset[str]] = {}  # one input's bits -> its active set
     actives: dict[int, tuple[frozenset[str], ...]] = {}  # joint state -> active sets

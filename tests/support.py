@@ -1,14 +1,16 @@
 """Test-only helpers: random turns, a ledger reader, speech and character totals,
-the all-histogram form of the cpCER lower bounds and a traced memory peak."""
+the tuple form of a Diarization's intervals, the all-histogram form of the
+cpCER lower bounds and a traced memory peak."""
 
 from __future__ import annotations
 
 import random
 import tracemalloc
 from collections import Counter
-from typing import Callable, Iterable, Sequence, TypeVar
+from typing import Callable, Iterable, Mapping, Sequence, TypeVar
 
 from diarscore.cpcer import SpeakerText
+from diarscore.errors import ValidationError
 from diarscore.formats import SpeakerTurn, TimeInterval
 from diarscore.timeline import Diarization
 
@@ -49,6 +51,36 @@ def total_speech(d: Diarization) -> int:
 def total_chars(text: SpeakerText) -> int:
     """Sum of the lengths of all speakers' normalized character streams."""
     return sum(len(t) for t in text.streams.values())
+
+
+def normalize_oracle(intervals: Iterable[tuple[int, int]]) -> tuple[TimeInterval, ...]:
+    """A speaker's intervals as ``Diarization`` first held them: a sorted, merged tuple."""
+    parsed = [iv if isinstance(iv, TimeInterval) else TimeInterval(*iv) for iv in intervals]
+    for iv in parsed:
+        if iv.start < 0:
+            raise ValidationError(f"negative interval start: {iv}")
+        if iv.dur <= 0:
+            raise ValidationError(f"non-positive interval duration: {iv}")
+    parsed.sort()
+    merged: list[TimeInterval] = []
+    end = -1
+    for iv in parsed:
+        start, dur = iv
+        if start > end:
+            merged.append(iv)
+            end = start + dur
+        elif start + dur > end:
+            end = start + dur
+            merged[-1] = TimeInterval(merged[-1].start, end - merged[-1].start)
+    return tuple(merged)
+
+
+def diarization_oracle(
+    speakers: Mapping[str, Iterable[tuple[int, int]]]
+) -> dict[str, tuple[TimeInterval, ...]]:
+    """Speaker -> ``normalize_oracle`` tuple, in speaker order, empty speakers dropped."""
+    normalized = {spk: normalize_oracle(speakers[spk]) for spk in sorted(speakers)}
+    return {spk: ivs for spk, ivs in normalized.items() if ivs}
 
 
 def histogram_bounds_oracle(

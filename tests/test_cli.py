@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 from collections import Counter
@@ -10,9 +11,16 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from diarscore import __version__
+from diarscore import __version__, timeline
 from diarscore.cli import main
-from diarscore.formats import emit_rttm, emit_transcript, parse_rttm, parse_transcript
+from diarscore.formats import (
+    SpeakerTurn,
+    TimeInterval,
+    emit_rttm,
+    emit_transcript,
+    parse_rttm,
+    parse_transcript,
+)
 from diarscore.synth import generate_session
 from support import total_chars, total_speech, traced_peak
 
@@ -859,6 +867,43 @@ def test_score_cpcer_holds_one_entry_per_line_and_one_histogram_per_side(tmp_pat
     # a __dict__ and two ID strings per line and every histogram at once
     # came to over 4 times that
     assert peak <= 2.5 * held, peak / held
+
+
+def test_score_der_holds_packed_intervals_not_time_intervals(tmp_path, monkeypatch):
+    # 25 sessions of 4 speakers with 100 turns each a side: 20,000 turns, and
+    # one session's tiling is a small part of what the run holds
+    rng = random.Random(7)
+    paths = []
+    for side, shift in (("ref", 0), ("hyp", 130)):
+        turns = []
+        for s in range(25):
+            for k in range(4):
+                t = rng.randrange(1000)
+                for _ in range(100):
+                    t += rng.randrange(10, 2000)
+                    dur = rng.randrange(10, 5000)
+                    interval = TimeInterval(t + shift, dur)
+                    turns.append(SpeakerTurn(f"S{s:03d}", "1", f"SPK{k}", interval))
+                    t += dur
+        paths.append(tmp_path / f"{side}.rttm")
+        paths[-1].write_text(emit_rttm(turns), encoding="utf-8")
+    argv = ["score-der", "--ref", paths[0], "--hyp", paths[1]]
+    (code, out, _), peak = traced_peak(run_quiet, argv)
+    assert code == 0 and out.splitlines()[-1].split()[0] == "OVERALL"
+    # what a tuple of TimeIntervals holds per interval, each time a fresh int
+    # as the reader makes them: about 130 bytes as traced
+    times = [(str(t.interval.start), str(t.interval.dur)) for t in turns]
+    _, as_tuples = traced_peak(lambda: tuple(TimeInterval(int(a), int(b)) for a, b in times))
+    per_interval = as_tuples / len(turns)
+    # 16 bytes a turn packed plus one session's tiling came to a third of
+    # it; holding every turn as a TimeInterval came to over 1.2 times
+    assert peak / (2 * len(turns)) <= 0.5 * per_interval, peak / (2 * len(turns)) / per_interval
+
+    def unbuilt(packed):
+        raise AssertionError("score-der built a speaker's TimeIntervals")
+
+    monkeypatch.setattr(timeline, "_time_intervals", unbuilt)
+    assert run_quiet(argv) == (code, out, "")
 
 
 INVISIBLE_ARGV = {

@@ -12,6 +12,7 @@ from hypothesis import given, strategies as st
 from diarscore import formats
 from diarscore.errors import ParseError, ValidationError
 from diarscore.formats import (
+    MAX_END_MS,
     SpeakerTurn,
     TimeInterval,
     TranscriptEntry,
@@ -59,6 +60,8 @@ def test_emit_refuses_a_channel_it_cannot_read_back(channel):
         (TimeInterval(-1, 500), "negative start time: -1 ms"),
         (TimeInterval(0, 0), "non-positive duration: 0 ms"),
         (TimeInterval(0, -500), "non-positive duration: -500 ms"),
+        (TimeInterval(MAX_END_MS, 1), f"turn ends past 2**63 - 1 ms: {MAX_END_MS} + 1 ms"),
+        (TimeInterval(1, MAX_END_MS), f"turn ends past 2**63 - 1 ms: 1 + {MAX_END_MS} ms"),
     ],
 )
 def test_emit_refuses_times_it_cannot_read_back(interval, message):
@@ -76,7 +79,7 @@ def ms_decimal(ms):
     st.text(st.sampled_from("a1 \t\r\n\x1c\u3000;语"), max_size=3),
     st.text(st.sampled_from("a1 \t\r\n\x1c\u3000;语"), max_size=3),
     st.text(st.sampled_from("a1 \t\r\n\x1c\u3000;语"), max_size=3),
-    st.integers(min_value=-10, max_value=2000),
+    st.integers(min_value=-10, max_value=2000) | st.integers(MAX_END_MS - 2000, MAX_END_MS + 10),
     st.integers(min_value=-10, max_value=2000),
 )
 def test_emit_rttm_writes_exactly_the_turns_that_re_parse(session, channel, speaker, start, dur):
@@ -94,6 +97,25 @@ def test_emit_rttm_writes_exactly_the_turns_that_re_parse(session, channel, spea
     else:
         with pytest.raises(ValidationError):
             emit_rttm([turn])
+
+
+def test_a_turn_may_end_at_the_int64_bound():
+    line = "SPEAKER S1 1 9223372036854775.806 0.001 <NA> <NA> A <NA> <NA>\n"
+    turns = parse_rttm(io.StringIO(line))
+    assert turns == [SpeakerTurn("S1", "1", "A", TimeInterval(MAX_END_MS - 1, 1))]
+    assert emit_rttm(turns) == line
+    assert by_session(turns)["S1"].extent() == TimeInterval(MAX_END_MS - 1, 1)
+
+
+def test_a_turn_that_ends_past_the_int64_bound_is_refused_at_its_line():
+    text = (
+        "SPEAKER S1 1 0.00 1.00 <NA> <NA> A <NA> <NA>\n"
+        "SPEAKER S1 1 9223372036854775.807 0.001 <NA> <NA> A <NA> <NA>\n"
+    )
+    with pytest.raises(ValidationError) as exc:
+        parse_rttm(io.StringIO(text))
+    assert exc.value.line == 2
+    assert str(exc.value) == f"line 2: turn ends past 2**63 - 1 ms: {MAX_END_MS} + 1 ms"
 
 
 def test_turn_accepts_non_ascii_ids():

@@ -1,8 +1,11 @@
+from array import array
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from diarscore import timeline
 from diarscore.errors import SessionMismatchError, ValidationError
-from diarscore.formats import SpeakerTurn, TimeInterval
+from diarscore.formats import MAX_END_MS, SpeakerTurn, TimeInterval
 from diarscore.timeline import (
     Diarization,
     build_regions,
@@ -10,6 +13,7 @@ from diarscore.timeline import (
     joint_regions,
     pairwise_overlap,
 )
+from support import diarization_oracle
 
 S = 1000  # ms per second
 
@@ -201,3 +205,170 @@ def test_relabel_and_merge():
     assert set(renamed.speaker_ids) == {"X", "B"}
     merged = diar.merged_with(d("S1", A=[(S, S)]))
     assert merged.intervals("A") == (TimeInterval(0, 2 * S),)
+
+
+def _gapped(steps):
+    """(gap, dur) steps as intervals sorted with a gap of at least 1 ms between neighbours."""
+    intervals, end = [], -1
+    for gap, dur in steps:
+        intervals.append((end + gap, dur))
+        end += gap + dur
+    return intervals
+
+
+# small times, so unsorted, overlapping, touching and gapped intervals all
+# occur; the gapped lists take the packed path that skips the sort
+speaker_intervals_st = st.lists(
+    st.tuples(st.integers(0, 60), st.integers(1, 20)), max_size=8
+) | st.lists(st.tuples(st.integers(1, 20), st.integers(1, 20)), max_size=8).map(_gapped)
+FORMS = {
+    "TimeInterval": lambda ivs: [TimeInterval(*iv) for iv in ivs],
+    "tuple": list,
+    "array": lambda ivs: array("q", [t for iv in ivs for t in iv]),
+}
+speakers_st = st.dictionaries(
+    st.sampled_from(["A", "B", "C", "D"]),
+    st.tuples(speaker_intervals_st, st.sampled_from(sorted(FORMS))),
+    max_size=4,
+)
+
+
+def _built(speakers):
+    """The Diarization of generated speakers, each in its form, and its oracle."""
+    diar = Diarization("S1", {spk: FORMS[form](ivs) for spk, (ivs, form) in speakers.items()})
+    return diar, diarization_oracle({spk: ivs for spk, (ivs, _) in speakers.items()})
+
+
+@settings(max_examples=300, deadline=None)
+@given(speakers_st, speakers_st, st.dictionaries(st.sampled_from("ABCD"), st.sampled_from("ABX")))
+def test_packed_diarization_matches_the_tuple_oracle(first, second, mapping):
+    diar, expected = _built(first)
+    other, other_expected = _built(second)
+    assert diar.speaker_ids == tuple(expected)
+    # asked in reverse order, items() still lists speakers in order
+    assert {spk: diar.intervals(spk) for spk in reversed(diar.speaker_ids)} == expected
+    assert list(diar.items()) == list(expected.items())
+    assert all(type(iv) is TimeInterval for _, ivs in diar.items() for iv in ivs)
+    if expected:
+        start = min(ivs[0].start for ivs in expected.values())
+        end = max(ivs[-1].end for ivs in expected.values())
+        assert diar.extent() == TimeInterval(start, end - start)
+    else:
+        assert diar.extent() is None
+    assert diar.to_turns() == [
+        SpeakerTurn("S1", "1", spk, iv) for spk, ivs in expected.items() for iv in ivs
+    ]
+    assert diar == Diarization("S1", expected)
+    assert (diar == other) == (expected == other_expected)
+    renamed = {}
+    for spk, ivs in expected.items():
+        renamed.setdefault(mapping.get(spk, spk), []).extend(ivs)
+    assert list(diar.relabel(mapping).items()) == list(diarization_oracle(renamed).items())
+    combined = {spk: list(ivs) for spk, ivs in expected.items()}
+    for spk, ivs in other_expected.items():
+        combined.setdefault(spk, []).extend(ivs)
+    assert list(diar.merged_with(other).items()) == list(diarization_oracle(combined).items())
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.dictionaries(
+        st.tuples(st.sampled_from(["S1", "S2"]), st.sampled_from(["A", "B"])),
+        speaker_intervals_st.filter(bool),
+    ),
+    st.randoms(use_true_random=False),
+)
+def test_by_session_over_shuffled_turns_matches_direct_construction(groups, rnd):
+    turns = [
+        SpeakerTurn(session, "1", spk, TimeInterval(*iv))
+        for (session, spk), ivs in groups.items()
+        for iv in ivs
+    ]
+    rnd.shuffle(turns)
+    sessions = {}
+    for (session, spk), ivs in groups.items():
+        sessions.setdefault(session, {})[spk] = ivs
+    grouped = by_session(turns)
+    assert list(grouped) == sorted(sessions)
+    assert grouped == {s: Diarization(s, speakers) for s, speakers in sessions.items()}
+    for s, speakers in sessions.items():
+        assert list(grouped[s].items()) == list(diarization_oracle(speakers).items())
+
+
+def test_a_speakers_tuple_is_built_once_and_kept():
+    diar = d("S1", A=[(0, S)], B=[(2 * S, S)])
+    assert diar.intervals("B") is diar.intervals("B")
+    assert dict(diar.items())["B"] is diar.intervals("B")
+    with pytest.raises(KeyError):
+        diar.intervals("C")
+
+
+def test_an_array_is_copied_not_kept():
+    packed = array("q", [0, S, 2 * S, S])
+    diar = d("S1", A=packed)
+    packed[1] = 5 * S
+    assert diar.intervals("A") == (TimeInterval(0, S), TimeInterval(2 * S, S))
+
+
+@pytest.mark.parametrize("packed", [array("q", [0, S, 2 * S]), array("i", [0, S])])
+def test_a_packed_array_holds_int64_pairs(packed):
+    with pytest.raises(ValidationError, match="holds 'q' \\(start, dur\\) pairs"):
+        d("S1", A=packed)
+
+
+def test_intervals_may_end_at_the_int64_bound():
+    diar = d("S1", A=[(0, MAX_END_MS)], B=array("q", [S, S, MAX_END_MS - 1, 1]))
+    assert diar.extent() == TimeInterval(0, MAX_END_MS)
+    # a merge that ends at the bound is kept
+    merged = d("S1", A=[(0, MAX_END_MS), (MAX_END_MS - 2, 1)])
+    assert merged.intervals("A") == (TimeInterval(0, MAX_END_MS),)
+
+
+PAST_THE_BOUND = [
+    [(MAX_END_MS, 1)],
+    [(MAX_END_MS + 1, 1)],  # a start an int64 cannot hold
+    [(0, 2**64)],
+    [(0, MAX_END_MS), (MAX_END_MS - 2, 3)],  # overlaps one that ends at the bound
+    array("q", [0, S, MAX_END_MS - 1, 2]),  # sorted with a gap: the packed path
+    array("q", [MAX_END_MS - 1, 2, 0, S]),  # unsorted: the sorting path
+]
+
+
+@pytest.mark.parametrize("intervals", PAST_THE_BOUND)
+def test_diarization_refuses_an_interval_past_the_int64_bound(intervals):
+    with pytest.raises(ValidationError, match=r"interval ends past 2\*\*63 - 1 ms"):
+        d("S1", A=intervals)
+
+
+@pytest.mark.parametrize(
+    "interval,message",
+    [
+        ((MAX_END_MS - 1, 2), "interval ends past 2**63 - 1 ms"),
+        ((MAX_END_MS + 1, 1), "interval ends past 2**63 - 1 ms"),
+        ((0, 2**64), "interval ends past 2**63 - 1 ms"),
+        ((-(2**64), S), "negative interval start"),
+        ((0, -(2**64)), "non-positive interval duration"),
+    ],
+)
+def test_by_session_refuses_an_interval_past_the_int64_bound(interval, message):
+    turns = [
+        SpeakerTurn("S1", "1", "A", TimeInterval(0, S)),
+        SpeakerTurn("S1", "1", "A", TimeInterval(*interval)),
+    ]
+    with pytest.raises(ValidationError) as exc:
+        by_session(turns)
+    assert str(exc.value).startswith(message)
+
+
+def test_scoring_reads_the_packed_intervals(monkeypatch):
+    # the tiling, the extent and equality never build a TimeInterval of a speaker
+    def unbuilt(packed):
+        raise AssertionError("a speaker's TimeIntervals were built")
+
+    a = d("S1", A=[(0, 10 * S)], B=[(5 * S, 10 * S)])
+    b = d("S1", X=[(S, 3 * S)])
+    monkeypatch.setattr(timeline, "_time_intervals", unbuilt)
+    assert pairwise_overlap(a, b) == {("A", "X"): 3 * S, ("B", "X"): 0}
+    assert a.extent() == TimeInterval(0, 15 * S)
+    assert a != b and a == d("S1", B=[(5 * S, 10 * S)], A=[(0, 10 * S)])
+    assert repr(a) == "Diarization('S1', 2 speakers)"
