@@ -42,6 +42,8 @@ PUNCTUATION = frozenset(
     + "。，、；：？！·…—～‘’“”〝〞「」『』〈〉《》（）【】〔〕［］｛｝"
     + "＜＞，．；：？！＠＃＄％＾＆＊－＿＋＝｜＼／￥〃"
 )
+# str.translate deletes each character this table maps to None
+_DROP_PUNCTUATION = dict.fromkeys(map(ord, PUNCTUATION))
 
 
 @dataclass(frozen=True)
@@ -90,10 +92,9 @@ def normalize_text(raw: str, strip_punctuation: bool = True) -> CharSeq:
     # no Cf character is printable, so printable text skips the lookups
     if not raw.isprintable():
         raw = "".join(ch for ch in raw if unicodedata.category(ch) != "Cf")
-    text = unicodedata.normalize("NFC", raw)
-    return "".join(
-        ch for ch in text if not ch.isspace() and not (strip_punctuation and ch in PUNCTUATION)
-    )
+    # str.split() splits on exactly the characters str.isspace() accepts
+    text = "".join(unicodedata.normalize("NFC", raw).split())
+    return text.translate(_DROP_PUNCTUATION) if strip_punctuation else text
 
 
 def _middles(ref: str, hyp: str) -> tuple[str, str]:

@@ -20,17 +20,11 @@ from pathlib import Path
 from typing import IO, Callable, Iterator, Mapping, Sequence, TypeVar
 
 from . import __version__
-from .cpcer import aggregate_counts, attach_order_from_rttm, compute_cpcer, concat_by_speaker
+from .cer import CharSeq, normalize_text
+from .cpcer import SpeakerText, _check_turn_counts, aggregate_counts, compute_cpcer
 from .der import aggregate_der, brute_force_der, score_der
 from .errors import DiarscoreError, UndefinedMetricError, ValidationError
-from .formats import (
-    SpeakerTurn,
-    TranscriptEntry,
-    _rttm_turns,
-    emit_rttm,
-    emit_transcript,
-    parse_transcript,
-)
+from .formats import SpeakerTurn, _rttm_turns, _transcript_entries, emit_rttm, emit_transcript
 from .fusion import fuse_channels
 from .postproc import (
     assemble_transcript,
@@ -151,30 +145,41 @@ def _cmd_score_der(args) -> int:
     )
 
 
+def _read_speaker_texts(
+    path: str, strip: bool
+) -> tuple[dict[str, SpeakerText], dict[tuple[str, str], int]]:
+    """One SpeakerText per session of a transcript, and each pair's line count.
+
+    Each line's text goes onto the list of its (session, speaker) pair as
+    it is read, so no entry outlives its line.  A pair's texts are joined
+    in file order, which is the order_key order ``concat_by_speaker``
+    sorts by, then normalized once, with punctuation dropped if ``strip``.
+    The counts keep the order in which the pairs first appear.
+    """
+    parts: dict[tuple[str, str], list[str]] = {}
+    with open(path, "r", encoding="utf-8-sig") as fh:
+        for e in _transcript_entries(fh):
+            parts.setdefault((e.session, e.speaker), []).append(e.text)
+    counts = {pair: len(texts) for pair, texts in parts.items()}
+    streams: dict[str, dict[str, CharSeq]] = {}
+    for (session, speaker), texts in parts.items():
+        streams.setdefault(session, {})[speaker] = normalize_text("".join(texts), strip)
+    return {s: SpeakerText(s, st) for s, st in streams.items()}, counts
+
+
 def _cmd_score_cpcer(args) -> int:
-    ref_entries = _parse_file(parse_transcript, args.ref_trn)
-    hyp_entries = _parse_file(parse_transcript, args.hyp_trn)
-    if args.ref_rttm:
-        ref_entries = attach_order_from_rttm(ref_entries, _rttm_stream(args.ref_rttm))
-    refs: dict[str, list[TranscriptEntry]] = {}
-    hyps: dict[str, list[TranscriptEntry]] = {}
-    for entries, sessions in ((ref_entries, refs), (hyp_entries, hyps)):
-        for e in entries:
-            sessions.setdefault(e.session, []).append(e)
     strip = not args.keep_punctuation
+    refs, n_ref = _read_speaker_texts(args.ref_trn, strip)
+    hyps, _ = _read_speaker_texts(args.hyp_trn, strip)
+    if args.ref_rttm:
+        _check_turn_counts(n_ref, _rttm_stream(args.ref_rttm))
     mode = "brute-force" if args.brute_force else "assignment"
-
-    def score(session, ref, hyp):
-        ref_st = concat_by_speaker(ref, session=session, strip_punctuation=strip)
-        hyp_st = concat_by_speaker(hyp, session=session, strip_punctuation=strip)
-        return compute_cpcer(ref_st, hyp_st, mode=mode).counts
-
     return _report_scores(
         args,
         [f"punctuation: {'kept' if args.keep_punctuation else 'stripped'}", f"assignment: {mode}"],
         refs,
         hyps,
-        score,
+        lambda session, ref, hyp: compute_cpcer(ref, hyp, mode=mode).counts,
         aggregate_counts,
         ["S", "D", "I", "cpCER"],
         lambda c: (c.rate("s"), c.rate("d"), c.rate("i"), c.cer),

@@ -97,24 +97,34 @@ def attach_order_from_rttm(
     """Check RTTM turn counts against the transcript; return the entries unchanged.
 
     Each (session, speaker) pair whose transcript entry count differs from
-    its turn count is warned about: first the pairs with entries, in order
-    of first appearance, then the pairs that only the RTTM holds, sorted.
-    The transcript alone sets the order of each stream, so this cannot
-    change any stream or score.
+    its turn count is warned about, as ``_check_turn_counts`` does.  The
+    transcript alone sets the order of each stream, so this cannot change
+    any stream or score.
+    """
+    entries = list(entries)
+    _check_turn_counts(Counter((e.session, e.speaker) for e in entries), turns)
+    return entries
+
+
+def _check_turn_counts(
+    n_entries: Mapping[tuple[str, str], int], turns: Iterable[SpeakerTurn]
+) -> None:
+    """Warn about each (session, speaker) pair whose entry and turn counts differ.
+
+    ``n_entries`` maps each pair to its transcript entry count, in order of
+    first appearance.  The warnings name first the pairs with entries, in
+    that order, then the pairs that only the RTTM holds, sorted.
     """
     n_turns = Counter((t.session, t.speaker) for t in turns)
-    entries = list(entries)
-    n_entries = Counter((e.session, e.speaker) for e in entries)
     for key in [*n_entries, *sorted(n_turns.keys() - n_entries.keys())]:
-        if n_entries[key] != n_turns[key]:
+        if n_entries.get(key, 0) != n_turns[key]:
             logger.warning(
                 "session %s speaker %s: %d transcript entries vs %d turns; keeping file order",
                 key[0],
                 key[1],
-                n_entries[key],
+                n_entries.get(key, 0),
                 n_turns[key],
             )
-    return entries
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,9 @@ Transcript lines are ``<speakerID>_<sessionID><whitespace><text>``, UTF-8,
 one utterance per line.  The speaker/session split is at the *last*
 underscore, so speaker IDs may themselves contain underscores and session
 IDs may not: ``emit_transcript`` refuses any entry that would not re-parse
-to the same speaker, session and text.
+to the same speaker, session and text.  A transcript is read as a stream
+too: ``_transcript_entries`` yields one entry per line, and
+``parse_transcript`` is that stream as a list.
 """
 
 from __future__ import annotations
@@ -252,8 +254,8 @@ def _rttm_seconds(ms: int) -> str:
     return f"{whole}.{frac:03d}" if frac % 10 else f"{whole}.{frac // 10:02d}"
 
 
-def parse_transcript(stream: IO[str] | Iterable[str]) -> list[TranscriptEntry]:
-    """Parse two-column transcript text (utterance ID, then utterance).
+def _transcript_entries(stream: IO[str] | Iterable[str]) -> Iterator[TranscriptEntry]:
+    """Yield the TranscriptEntry of each non-blank transcript line, in file order.
 
     The first whitespace run separates the ID from the text; the text keeps
     any further internal whitespace verbatim.  order_key is the 0-based
@@ -263,11 +265,11 @@ def parse_transcript(stream: IO[str] | Iterable[str]) -> list[TranscriptEntry]:
 
     Each distinct utterance ID is split and checked once, at its first
     line, and every entry with that ID shares the same speaker and session
-    objects.  So what is held per line is one slotted entry and its text;
-    the IDs are held once per utterance ID.
+    objects.  So the reader holds the IDs once per utterance ID, and
+    nothing per line.
     """
-    entries = []
     ids: dict[str, tuple[str, str]] = {}  # utterance ID -> checked (speaker, session)
+    index = 0
     for lineno, raw in enumerate(stream, 1):
         line = raw.rstrip("\r\n")
         if not line.strip():
@@ -288,8 +290,18 @@ def parse_transcript(stream: IO[str] | Iterable[str]) -> list[TranscriptEntry]:
             except DiarscoreError as exc:
                 raise type(exc)(str(exc), line=lineno) from None
             pair = ids[uid] = (speaker, session)
-        entries.append(TranscriptEntry(pair[0], pair[1], text, len(entries)))
-    return entries
+        yield TranscriptEntry(pair[0], pair[1], text, index)
+        index += 1
+
+
+def parse_transcript(stream: IO[str] | Iterable[str]) -> list[TranscriptEntry]:
+    """Parse two-column transcript text (utterance ID, then utterance).
+
+    The list of what the streaming reader yields: one slotted entry per
+    non-blank line, in file order, with order_key its index.  A malformed
+    line raises with its line number.
+    """
+    return list(_transcript_entries(stream))
 
 
 def emit_transcript(entries: Iterable[TranscriptEntry]) -> str:

@@ -177,28 +177,44 @@ def _carve(
     so no injected edit can touch another edit or an existing boundary.
     With grid > 1 every chunk boundary lands on that grid (needed when the
     result must survive 2-decimal RTTM emission).
+
+    Each chunk is cut from a span drawn uniformly among the usable ones, in
+    freelist order, and the pieces left on either side go to the end of
+    the freelist.  The usable spans are kept as a list in that order, so a
+    carve costs one pass over the freelist plus one list pop per chunk.
     """
+    spans = []  # (freelist index, glo, ghi) of each usable span, in freelist order
+    taken = set()  # freelist indices of the spans cut
+
+    def offer(k: int) -> None:
+        lo, hi, _ = freelist[k]
+        glo = -(-lo // grid) + 1  # first grid point inside, plus guard
+        ghi = hi // grid - 1
+        if ghi - glo >= 1:
+            spans.append((k, glo, ghi))
+
+    for k in range(len(freelist)):
+        offer(k)
     chunks = []
-    while need > 0:
-        usable_of = {}
-        for k, (lo, hi, _) in enumerate(freelist):
-            glo = -(-lo // grid) + 1  # first grid point inside, plus guard
-            ghi = hi // grid - 1
-            if ghi - glo >= 1:
-                usable_of[k] = (glo, ghi)
-        if not usable_of:
-            raise InjectionError(f"insufficient placeable time for {need} ms of {kind}")
-        k = sorted(usable_of)[rng.randrange(len(usable_of))]
-        lo, hi, payload = freelist.pop(k)
-        glo, ghi = usable_of[k]
-        usable = (ghi - glo) * grid
-        length = min(need, usable)
-        start = glo * grid + (rng.randrange(0, (usable - length) // grid + 1) * grid)
-        chunks.append((start, length, payload))
-        for seg in ((lo, start - grid, payload), (start + length + grid, hi, payload)):
-            if seg[1] - seg[0] >= 3 * grid:
-                freelist.append(seg)
-        need -= length
+    try:
+        while need > 0:
+            if not spans:
+                raise InjectionError(f"insufficient placeable time for {need} ms of {kind}")
+            k, glo, ghi = spans.pop(rng.randrange(len(spans)))
+            taken.add(k)
+            lo, hi, payload = freelist[k]
+            usable = (ghi - glo) * grid
+            length = min(need, usable)
+            start = glo * grid + (rng.randrange(0, (usable - length) // grid + 1) * grid)
+            chunks.append((start, length, payload))
+            for seg in ((lo, start - grid, payload), (start + length + grid, hi, payload)):
+                if seg[1] - seg[0] >= 3 * grid:
+                    freelist.append(seg)
+                    offer(len(freelist) - 1)
+            need -= length
+    finally:
+        # leftovers were appended, so the indices held stable until now
+        freelist[:] = [span for k, span in enumerate(freelist) if k not in taken]
     return chunks
 
 

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from diarscore import cer as cer_module
-from diarscore.cer import EditCounts, edit_counts, edit_distance, normalize_text
+from diarscore.cer import PUNCTUATION, EditCounts, edit_counts, edit_distance, normalize_text
 from diarscore.errors import UndefinedMetricError, ValidationError
-from support import traced_peak
+from support import normalize_text_oracle, traced_peak
 
 
 def oracle_distance(a: str, b: str) -> int:
@@ -63,6 +63,25 @@ def test_normalize_strips_punctuation_by_default():
 def test_normalize_applies_nfc():
     decomposed = "é"  # e + combining acute
     assert normalize_text(decomposed) == "é"
+
+
+# every code point str.isspace() accepts, a few that look like space but are
+# not (U+200B and U+FEFF are Cf, U+180E is Cf since Unicode 6.3)
+SPACES = "".join(ch for ch in map(chr, range(0x3001)) if ch.isspace()) + "\u200b\ufeff\u180e"
+NORMALIZE_ALPHABET = st.sampled_from(
+    "你好世界中文abcXYZ019"  # CJK and ASCII
+    + SPACES
+    + "\u0301\u0308\u0327"  # combining marks, which NFC composes
+    + "\u200c\u200d\u2060\u00ad\U000e0001"  # more Cf characters
+    + "".join(sorted(PUNCTUATION))
+    + "\uff0c\ufe50\u3000"  # fullwidth comma, small comma, ideographic space
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.text(NORMALIZE_ALPHABET, max_size=40) | st.text(max_size=40), st.booleans())
+def test_normalize_matches_the_per_character_oracle(raw, strip):
+    assert normalize_text(raw, strip) == normalize_text_oracle(raw, strip)
 
 
 def test_edit_counts_examples():

@@ -1,18 +1,22 @@
 import contextlib
 import io
 import json
+import logging
 import os
 import random
 import subprocess
 import sys
+import tempfile
 from collections import Counter
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from diarscore import __version__, timeline
+from diarscore import __version__, cli, timeline
 from diarscore.cli import main
+from diarscore.cpcer import attach_order_from_rttm
 from diarscore.formats import (
     SpeakerTurn,
     TimeInterval,
@@ -22,7 +26,7 @@ from diarscore.formats import (
     parse_transcript,
 )
 from diarscore.synth import generate_session
-from support import total_chars, total_speech, traced_peak
+from support import score_cpcer_oracle, total_chars, total_speech, traced_peak
 
 
 @pytest.fixture
@@ -850,7 +854,7 @@ def test_an_empty_overall_reference_is_an_error(capsys, tmp_path):
     assert not tsv.exists()
 
 
-def test_score_cpcer_holds_one_entry_per_line_and_one_histogram_per_side(tmp_path):
+def test_score_cpcer_holds_one_text_per_stream_and_one_histogram_per_side(tmp_path):
     # 6,000 lines over 4 speakers, each character of the file distinct, so
     # each stream's histogram has 4,500 keys; hypothesis = reference
     lines, chars = 6_000, 3
@@ -860,13 +864,104 @@ def test_score_cpcer_holds_one_entry_per_line_and_one_histogram_per_side(tmp_pat
     argv = ["score-cpcer", "--ref-trn", trn, "--hyp-trn", trn]
     (code, out, _), peak = traced_peak(run_quiet, argv)
     assert code == 0 and out.splitlines()[-1].split() == ["OVERALL", *["0.00"] * 4]
-    # what has to be held: the text of every line on both sides and one
+    # what has to be held: each stream's joined text on both sides and one
     # histogram of the longest stream per side
-    _, histogram = traced_peak(Counter, "".join(texts[::4]))
-    held = 2 * sum(map(sys.getsizeof, texts)) + 2 * histogram
-    # a __dict__ and two ID strings per line and every histogram at once
-    # came to over 4 times that
-    assert peak <= 2.5 * held, peak / held
+    streams = ["".join(texts[k::4]) for k in range(4)]
+    _, histogram = traced_peak(Counter, streams[0])
+    held = 2 * sum(map(sys.getsizeof, streams)) + 2 * histogram
+    # the run's peak came to 1.25 times that; holding one slotted entry per
+    # line on both sides came to over 3.5 times
+    assert peak <= 1.5 * held, peak / held
+
+
+TRN_ALPHABET = "你好世界abcdé" + " \t\u3000\u2028" + "。，!." + "\u0301\u200b"
+TRN_TEXT_LINE = st.tuples(
+    st.sampled_from(["A_S1", "B_S1", "x_y_S1", "A_S2", "C_S2", "B_S3"]),
+    st.sampled_from([" ", "\t", "  "]),
+    st.text(st.sampled_from(TRN_ALPHABET), min_size=1, max_size=6),
+).map(lambda t: "".join(t) + "\n")
+# blank lines, and lines with an empty text
+TRN_OTHER_LINE = st.sampled_from(["\n", " \t\n", "A_S1 \n", "C_S2\t\r\n"])
+# three text lines to one other line, so that most pairs get texts to join
+TRN_LINES = st.lists(
+    st.one_of(TRN_TEXT_LINE, TRN_TEXT_LINE, TRN_TEXT_LINE, TRN_OTHER_LINE), max_size=24
+)
+TRN_RTTM = "".join(
+    f"SPEAKER {session} 1 {k}.00 1.00 <NA> <NA> {speaker} <NA> <NA>\n"
+    for k, (session, speaker) in enumerate([("S1", "A"), ("S1", "A"), ("S2", "C"), ("S4", "D")])
+)
+
+
+def run_logged(argv):
+    """run_quiet, plus the messages logged to the diarscore logger, in order."""
+    records = []
+    handler = logging.Handler(logging.WARNING)
+    handler.emit = records.append
+    logger = logging.getLogger("diarscore")
+    logger.addHandler(handler)
+    try:
+        result = run_quiet(argv)
+    finally:
+        logger.removeHandler(handler)
+    return (*result, [r.getMessage() for r in records])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    ref=TRN_LINES,
+    hyp=TRN_LINES,
+    flags=st.sets(st.sampled_from(["--keep-punctuation", "--brute-force", "--ref-rttm"])),
+)
+def test_score_cpcer_matches_the_per_entry_route(ref, hyp, flags):
+    # interleaved sessions, repeated IDs, empty texts, whitespace and
+    # punctuation: every output is the one the entry lists and
+    # concat_by_speaker give
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {name: Path(tmp) / name for name in ("ref.trn", "hyp.trn", "ref.rttm", "t.tsv")}
+        paths["ref.trn"].write_text("".join(ref), encoding="utf-8")
+        paths["hyp.trn"].write_text("".join(hyp), encoding="utf-8")
+        paths["ref.rttm"].write_text(TRN_RTTM, encoding="utf-8")
+        argv = ["score-cpcer", "--ref-trn", paths["ref.trn"], "--hyp-trn", paths["hyp.trn"]]
+        argv += ["--tsv", paths["t.tsv"], *sorted(flags - {"--ref-rttm"})]
+        if "--ref-rttm" in flags:
+            argv += ["--ref-rttm", paths["ref.rttm"]]
+        outputs = []
+        for route in (cli._cmd_score_cpcer, score_cpcer_oracle):
+            with mock.patch.object(cli, "_cmd_score_cpcer", route):
+                result = run_logged(argv)
+            tsv = paths["t.tsv"].read_bytes() if paths["t.tsv"].exists() else None
+            paths["t.tsv"].unlink(missing_ok=True)
+            outputs.append((result, tsv))
+    assert outputs[0] == outputs[1]
+
+
+def test_ref_rttm_warns_as_attach_order_from_rttm_does(caplog, tmp_path):
+    # pairs first seen as S1/A, S2/B, then S1/C; S2/B has one turn too few,
+    # and only the RTTM holds S1/Z, which sorts before S2/B
+    trn = tmp_path / "ref.trn"
+    trn.write_text("A_S1 a\nB_S2 b\nA_S1 c\nC_S1 d\nB_S2 e\n", encoding="utf-8")
+    rttm = tmp_path / "ref.rttm"
+    rttm.write_text(
+        "".join(
+            f"SPEAKER {session} 1 {k}.00 1.00 <NA> <NA> {speaker} <NA> <NA>\n"
+            for k, (session, speaker) in enumerate(
+                [("S1", "A"), ("S1", "Z"), ("S2", "B"), ("S1", "C"), ("S1", "A")]
+            )
+        ),
+        encoding="utf-8",
+    )
+    with caplog.at_level("WARNING"):
+        with open(trn, encoding="utf-8") as fh, open(rttm, encoding="utf-8") as rh:
+            attach_order_from_rttm(parse_transcript(fh), parse_rttm(rh))
+        library = [r.getMessage() for r in caplog.records]
+        caplog.clear()
+        argv = ["score-cpcer", "--ref-trn", trn, "--ref-rttm", rttm, "--hyp-trn", trn]
+        assert run_quiet(argv)[0] == 0
+        command = [r.getMessage() for r in caplog.records]
+    assert command == library == [
+        "session S2 speaker B: 2 transcript entries vs 1 turns; keeping file order",
+        "session S1 speaker Z: 0 transcript entries vs 1 turns; keeping file order",
+    ]
 
 
 def test_score_der_holds_packed_intervals_not_time_intervals(tmp_path, monkeypatch):

@@ -1,5 +1,10 @@
-import pytest
+import random
+import re
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from diarscore import synth
 from diarscore.cpcer import compute_cpcer, concat_by_speaker
 from diarscore.der import compute_der, optimal_speaker_map
 from diarscore.errors import InjectionError, ValidationError
@@ -10,7 +15,7 @@ from diarscore.synth import (
     generate_session,
     write_ledger,
 )
-from support import parse_ledger, total_chars, total_speech
+from support import carve_oracle, parse_ledger, total_chars, total_speech
 
 
 def test_same_seed_reproduces_byte_identical_files():
@@ -144,3 +149,35 @@ def test_ledger_round_trip():
     text = write_ledger(dl, None)
     assert text == "fa_ms\t10\nmiss_ms\t20\nspkerr_ms\t30\n"
     assert parse_ledger(text.splitlines()) == {"fa_ms": 10, "miss_ms": 20, "spkerr_ms": 30}
+
+
+SPANS = st.lists(
+    st.tuples(st.integers(0, 5_000), st.integers(0, 600), st.sampled_from(["A", "B", None])).map(
+        lambda t: (t[0], t[0] + t[1], t[2])
+    ),
+    max_size=12,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    SPANS,
+    st.lists(st.integers(0, 2_000), min_size=1, max_size=3),
+    st.sampled_from([1, 10]),
+    st.integers(0, 2**32),
+)
+def test_carve_matches_the_rescanning_oracle(spans, needs, grid, seed):
+    # carves in turn on one freelist, as corrupt_diarization carves missed
+    # speech and then speaker errors out of the same single-speaker spans
+    fast, slow = list(spans), list(spans)
+    rng_fast, rng_slow = random.Random(seed), random.Random(seed)
+    for need in needs:
+        try:
+            expected = carve_oracle(slow, need, "x", rng_slow, grid)
+        except InjectionError as exc:
+            with pytest.raises(InjectionError, match=re.escape(str(exc))):
+                synth._carve(fast, need, "x", rng_fast, grid)
+        else:
+            assert synth._carve(fast, need, "x", rng_fast, grid) == expected
+        assert fast == slow
+        assert rng_fast.getstate() == rng_slow.getstate()
