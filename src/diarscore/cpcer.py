@@ -117,12 +117,13 @@ def _check_turn_counts(
     """
     n_turns = Counter((t.session, t.speaker) for t in turns)
     for key in [*n_entries, *sorted(n_turns.keys() - n_entries.keys())]:
-        if n_entries.get(key, 0) != n_turns[key]:
+        n = n_entries.get(key, 0)
+        if n != n_turns[key]:
             logger.warning(
                 "session %s speaker %s: %d transcript entries vs %d turns; keeping file order",
                 key[0],
                 key[1],
-                n_entries.get(key, 0),
+                n,
                 n_turns[key],
             )
 

@@ -886,10 +886,16 @@ TRN_OTHER_LINE = st.sampled_from(["\n", " \t\n", "A_S1 \n", "C_S2\t\r\n"])
 TRN_LINES = st.lists(
     st.one_of(TRN_TEXT_LINE, TRN_TEXT_LINE, TRN_TEXT_LINE, TRN_OTHER_LINE), max_size=24
 )
-TRN_RTTM = "".join(
-    f"SPEAKER {session} 1 {k}.00 1.00 <NA> <NA> {speaker} <NA> <NA>\n"
-    for k, (session, speaker) in enumerate([("S1", "A"), ("S1", "A"), ("S2", "C"), ("S4", "D")])
-)
+
+
+def rttm_of(pairs):
+    """RTTM text with one 1 s turn per (session, speaker) in pairs, one after another."""
+    return emit_rttm(
+        SpeakerTurn(s, "1", spk, TimeInterval(k * 1000, 1000)) for k, (s, spk) in enumerate(pairs)
+    )
+
+
+TRN_RTTM = rttm_of([("S1", "A"), ("S1", "A"), ("S2", "C"), ("S4", "D")])
 
 
 def run_logged(argv):
@@ -941,15 +947,8 @@ def test_ref_rttm_warns_as_attach_order_from_rttm_does(caplog, tmp_path):
     trn = tmp_path / "ref.trn"
     trn.write_text("A_S1 a\nB_S2 b\nA_S1 c\nC_S1 d\nB_S2 e\n", encoding="utf-8")
     rttm = tmp_path / "ref.rttm"
-    rttm.write_text(
-        "".join(
-            f"SPEAKER {session} 1 {k}.00 1.00 <NA> <NA> {speaker} <NA> <NA>\n"
-            for k, (session, speaker) in enumerate(
-                [("S1", "A"), ("S1", "Z"), ("S2", "B"), ("S1", "C"), ("S1", "A")]
-            )
-        ),
-        encoding="utf-8",
-    )
+    pairs = [("S1", "A"), ("S1", "Z"), ("S2", "B"), ("S1", "C"), ("S1", "A")]
+    rttm.write_text(rttm_of(pairs), encoding="utf-8")
     with caplog.at_level("WARNING"):
         with open(trn, encoding="utf-8") as fh, open(rttm, encoding="utf-8") as rh:
             attach_order_from_rttm(parse_transcript(fh), parse_rttm(rh))
