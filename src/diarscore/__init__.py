@@ -9,107 +9,81 @@ synthetic-session generator whose corruption ledgers make every metric
 independently verifiable.
 """
 
-from .cer import EditCounts, PUNCTUATION, edit_counts, edit_distance, normalize_text
-from .cpcer import CpcerResult, SpeakerText, aggregate_counts, compute_cpcer, concat_by_speaker
-from .der import (
-    DerBreakdown,
-    SpeakerMap,
-    aggregate_der,
-    brute_force_der,
-    compute_der,
-    optimal_speaker_map,
-    score_der,
-)
-from .errors import (
-    DiarscoreError,
-    InjectionError,
-    ParseError,
-    SessionMismatchError,
-    UndefinedMetricError,
-    ValidationError,
-)
-from .formats import (
-    SpeakerTurn,
-    TimeInterval,
-    TranscriptEntry,
-    emit_rttm,
-    emit_transcript,
-    parse_rttm,
-    parse_transcript,
-)
-from .fusion import fuse_channels, relabel_to_reference
-from .postproc import (
-    ManifestRow,
-    ProbabilityMatrix,
-    SegmentManifest,
-    assemble_transcript,
-    binarize_probs,
-    binarize_stream,
-    build_manifest,
-    smooth_segments,
-)
-from .synth import (
-    DiarizationLedger,
-    SynthSession,
-    TextLedger,
-    corrupt_diarization,
-    corrupt_text,
-    generate_session,
-)
-from .timeline import Diarization, PairedRegion, build_regions, by_session, pairwise_overlap
+from importlib import import_module
+
+# Each public name is imported from its module on first access (PEP 562),
+# so a CLI child loads only the modules its command runs.
+_MODULE_NAMES = {
+    "cer": ("EditCounts", "PUNCTUATION", "edit_counts", "edit_distance", "normalize_text"),
+    "cpcer": (
+        "CpcerResult",
+        "SpeakerText",
+        "aggregate_counts",
+        "compute_cpcer",
+        "concat_by_speaker",
+    ),
+    "der": (
+        "DerBreakdown",
+        "SpeakerMap",
+        "aggregate_der",
+        "brute_force_der",
+        "compute_der",
+        "optimal_speaker_map",
+        "score_der",
+    ),
+    "errors": (
+        "DiarscoreError",
+        "InjectionError",
+        "ParseError",
+        "SessionMismatchError",
+        "UndefinedMetricError",
+        "ValidationError",
+    ),
+    "formats": (
+        "SpeakerTurn",
+        "TimeInterval",
+        "TranscriptEntry",
+        "emit_rttm",
+        "emit_transcript",
+        "parse_rttm",
+        "parse_transcript",
+    ),
+    "fusion": ("fuse_channels", "relabel_to_reference"),
+    "postproc": (
+        "ManifestRow",
+        "ProbabilityMatrix",
+        "SegmentManifest",
+        "assemble_transcript",
+        "binarize_probs",
+        "binarize_stream",
+        "build_manifest",
+        "smooth_segments",
+    ),
+    "synth": (
+        "DiarizationLedger",
+        "SynthSession",
+        "TextLedger",
+        "corrupt_diarization",
+        "corrupt_text",
+        "generate_session",
+    ),
+    "timeline": ("Diarization", "PairedRegion", "build_regions", "by_session", "pairwise_overlap"),
+}
+_ORIGIN = {name: module for module, names in _MODULE_NAMES.items() for name in names}
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "CpcerResult",
-    "DerBreakdown",
-    "Diarization",
-    "DiarizationLedger",
-    "DiarscoreError",
-    "EditCounts",
-    "InjectionError",
-    "ManifestRow",
-    "PUNCTUATION",
-    "PairedRegion",
-    "ParseError",
-    "ProbabilityMatrix",
-    "SegmentManifest",
-    "SessionMismatchError",
-    "SpeakerMap",
-    "SpeakerText",
-    "SpeakerTurn",
-    "SynthSession",
-    "TextLedger",
-    "TimeInterval",
-    "TranscriptEntry",
-    "UndefinedMetricError",
-    "ValidationError",
-    "aggregate_counts",
-    "aggregate_der",
-    "assemble_transcript",
-    "binarize_probs",
-    "binarize_stream",
-    "brute_force_der",
-    "build_manifest",
-    "build_regions",
-    "by_session",
-    "compute_cpcer",
-    "compute_der",
-    "concat_by_speaker",
-    "corrupt_diarization",
-    "corrupt_text",
-    "edit_counts",
-    "edit_distance",
-    "emit_rttm",
-    "emit_transcript",
-    "fuse_channels",
-    "generate_session",
-    "normalize_text",
-    "optimal_speaker_map",
-    "pairwise_overlap",
-    "parse_rttm",
-    "parse_transcript",
-    "relabel_to_reference",
-    "score_der",
-    "smooth_segments",
-]
+__all__ = sorted(_ORIGIN)
+
+
+def __getattr__(name: str):
+    # an AttributeError here lets `from diarscore import cpcer` import the submodule
+    if name not in _ORIGIN:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{_ORIGIN[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(globals().keys() | _ORIGIN.keys())

@@ -6,8 +6,9 @@ reference and hypothesis sessions, score each common one, pool them into
 an OVERALL row, echo the active tunables in header lines, print aligned
 text to stdout, and mirror the same rows to a TSV.  Every input is parsed
 straight from its open file; every command that reads RTTM streams its
-turns through the same reader.  Exit codes: 0 success, 1 validation error,
-2 I/O error (argparse usage errors also exit 2).
+turns through the same reader.  Each command imports only the modules it
+runs, so numpy is loaded by binarize alone.  Exit codes: 0 success, 1
+validation error, 2 I/O error (argparse usage errors also exit 2).
 """
 
 from __future__ import annotations
@@ -15,31 +16,19 @@ from __future__ import annotations
 import argparse
 import logging
 import sys
-from fractions import Fraction
 from pathlib import Path
-from typing import IO, Callable, Iterator, Mapping, Sequence, TypeVar
+from typing import IO, TYPE_CHECKING, Callable, Iterator, Mapping, Sequence, TypeVar
 
 from . import __version__
-from .cer import CharSeq, normalize_text
-from .cpcer import SpeakerText, _check_turn_counts, aggregate_counts, compute_cpcer
-from .der import aggregate_der, brute_force_der, score_der
 from .errors import DiarscoreError, UndefinedMetricError, ValidationError
 from .formats import SpeakerTurn, _rttm_turns, _transcript_entries, emit_rttm, emit_transcript
-from .fusion import fuse_channels
-from .postproc import (
-    assemble_transcript,
-    binarize_stream,
-    build_manifest,
-    check_tunables,
-    combine_manifests,
-    emit_manifest,
-    parse_manifest,
-    parse_texts,
-    smooth_segments,
-)
-from .reporting import percent, render_aligned, render_tsv
-from .synth import corrupt_diarization, corrupt_text, generate_session, write_ledger
-from .timeline import Diarization, by_session
+
+if TYPE_CHECKING:
+    from fractions import Fraction
+
+    from .cer import CharSeq
+    from .cpcer import SpeakerText
+    from .timeline import Diarization
 
 logger = logging.getLogger("diarscore")
 
@@ -63,6 +52,8 @@ def _rttm_stream(paths: Sequence[str]) -> Iterator[SpeakerTurn]:
 
 def _read_sessions(paths: Sequence[str]) -> dict[str, Diarization]:
     """One Diarization per session of the RTTM files; no turn is kept."""
+    from .timeline import by_session
+
     return by_session(_rttm_stream(paths))
 
 
@@ -94,6 +85,8 @@ def _report_scores(
     counts still go into OVERALL.  Only an undefined OVERALL is an error,
     raised before anything is written.
     """
+    from .reporting import percent, render_aligned, render_tsv
+
     common = sorted(refs.keys() & hyps.keys())
     for missing in sorted(refs.keys() - hyps.keys()):
         logger.warning("session %s has no hypothesis; not scored", missing)
@@ -129,6 +122,8 @@ def _report_scores(
 
 
 def _cmd_score_der(args) -> int:
+    from .der import aggregate_der, brute_force_der, score_der
+
     scorer = brute_force_der if args.brute_force else score_der
     return _report_scores(
         args,
@@ -156,6 +151,9 @@ def _read_speaker_texts(
     sorts by, then normalized once, with punctuation dropped if ``strip``.
     The counts keep the order in which the pairs first appear.
     """
+    from .cer import normalize_text
+    from .cpcer import SpeakerText
+
     parts: dict[tuple[str, str], list[str]] = {}
     with open(path, "r", encoding="utf-8-sig") as fh:
         for e in _transcript_entries(fh):
@@ -168,6 +166,8 @@ def _read_speaker_texts(
 
 
 def _cmd_score_cpcer(args) -> int:
+    from .cpcer import _check_turn_counts, aggregate_counts, compute_cpcer
+
     strip = not args.keep_punctuation
     refs, n_ref = _read_speaker_texts(args.ref_trn, strip)
     hyps, _ = _read_speaker_texts(args.hyp_trn, strip)
@@ -187,6 +187,10 @@ def _cmd_score_cpcer(args) -> int:
 
 
 def _cmd_fuse(args) -> int:
+    from fractions import Fraction
+
+    from .fusion import fuse_channels
+
     inputs = []
     for path in args.rttm:
         sessions = _read_sessions([path])
@@ -205,6 +209,8 @@ def _cmd_fuse(args) -> int:
 
 
 def _cmd_binarize(args) -> int:
+    from .postproc import binarize_stream, check_tunables, smooth_segments
+
     # a bad tunable is refused before the matrix is opened
     check_tunables(args.threshold, max_gap_ms=args.max_gap, min_dur_ms=args.min_dur)
     d = _parse_file(lambda fh: binarize_stream(fh, threshold=args.threshold), args.matrix)
@@ -214,12 +220,16 @@ def _cmd_binarize(args) -> int:
 
 
 def _cmd_manifest(args) -> int:
+    from .postproc import build_manifest, combine_manifests, emit_manifest
+
     manifests = [build_manifest(d) for d in _read_sessions(args.rttm).values()]
     _write_output(emit_manifest(combine_manifests(manifests)), args.output)
     return 0
 
 
 def _cmd_assemble(args) -> int:
+    from .postproc import assemble_transcript, parse_manifest, parse_texts
+
     manifest = _parse_file(parse_manifest, args.manifest)
     texts = _parse_file(parse_texts, args.texts)
     entries = assemble_transcript(manifest, texts)
@@ -228,6 +238,9 @@ def _cmd_assemble(args) -> int:
 
 
 def _cmd_synth(args) -> int:
+    from .reporting import percent
+    from .synth import corrupt_diarization, corrupt_text, generate_session, write_ledger
+
     generated = generate_session(
         speakers=args.speakers,
         duration_ms=args.duration_ms,

@@ -67,7 +67,12 @@ def fuse_channels(
     else:
         if len(weights) != len(inputs):
             raise ValidationError("one weight per input required")
-        fracs = [Fraction(w) for w in weights]
+        fracs = []
+        for w in weights:
+            try:
+                fracs.append(Fraction(w))
+            except (ValueError, OverflowError, ZeroDivisionError):
+                raise ValidationError(f"weight {w!r} is not a finite number") from None
         if any(w <= 0 for w in fracs):
             raise ValidationError("weights must be positive")
         common = math.lcm(*(w.denominator for w in fracs))

@@ -59,7 +59,7 @@ __all__ = [
 MANIFEST_HEADER = ("session", "speaker", "start_ms", "dur_ms")
 
 # parse_matrix and binarize_stream hand numpy this many body lines at a time.
-_MATRIX_CHUNK_LINES = 1 << 14
+_MATRIX_CHUNK_LINES = 1 << 12
 
 
 @dataclass(frozen=True)

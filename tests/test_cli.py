@@ -576,65 +576,6 @@ def test_invalid_utf8_rttm_from_every_command(capsys, tmp_path):
         assert run(capsys, *argv)[::2] == (1, expected), argv
 
 
-NO_ARRAY_LIBS = """
-import contextlib, io, json, sys
-import diarscore.cli
-
-def loaded():
-    return sorted(m for m in ("numpy", "scipy") if m in sys.modules)
-
-report = [["import", loaded()]]
-for argv in json.loads(sys.argv[1]):
-    with contextlib.redirect_stdout(io.StringIO()) as out:
-        code = diarscore.cli.main(argv)
-    report.append([argv[0], code, loaded(), out.getvalue()])
-print(json.dumps(report))
-"""
-
-
-def test_cli_import_does_not_load_scipy(synth_files):
-    # interpreter start-up is most of a short scoring job; scipy and then
-    # numpy each cost more than the rest of the package's imports.  Only
-    # binarize does array work, so only binarize may load numpy.
-    (synth_files / "ones.txt").write_text("S1 10 A B\n" + "1.0 1.0\n" * 40, encoding="utf-8")
-    score_der = ["score-der", "--ref", "ref.rttm", "--hyp", "hyp.rttm"]
-    commands = [
-        score_der,
-        score_der + ["--brute-force"],
-        SCORE_CPCER,
-        SCORE_CPCER + ["--brute-force"],
-        ["fuse", "ref.rttm", "hyp.rttm", "ref.rttm", "-o", "fused.rttm"],
-        ["manifest", "ref.rttm", "-o", "manifest2.tsv"],
-        ASSEMBLE + ["-o", "assembled.trn"],
-        ["synth", "--out-dir", "again", *SYNTH_SEED_3],
-        ["binarize", "ones.txt", "--max-gap", 0, "--min-dur", 0],
-    ]
-    argvs = [[str(a) for a in argv] for argv in commands]
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    path = os.environ.get("PYTHONPATH")
-    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
-    proc = subprocess.run(
-        [sys.executable, "-c", NO_ARRAY_LIBS, json.dumps(argvs)],
-        cwd=synth_files,
-        env=env,
-        capture_output=True,
-        text=True,
-        timeout=120,
-    )
-    assert proc.returncode == 0, proc.stderr
-    report = json.loads(proc.stdout)
-    assert report[0] == ["import", []]
-    for argv, (name, code, libs, _) in zip(argvs[:-1], report[1:-1]):
-        assert (name, code, libs) == (argv[0], 0, []), argv
-    assert report[-1] == [
-        "binarize",
-        0,
-        ["numpy"],
-        "SPEAKER S1 1 0.00 0.40 <NA> <NA> A <NA> <NA>\n"
-        "SPEAKER S1 1 0.00 0.40 <NA> <NA> B <NA> <NA>\n",
-    ]
-
-
 SYNTH_SEED_3 = ["--seed", 3, "--fa-ms", 500, "--miss-ms", 300, "--spkerr-ms", 200,
                 "--sub", 10, "--del", 6, "--ins", 4]
 
@@ -656,6 +597,82 @@ def synth_files(capsys, tmp_path):
 SCORE_CPCER = ["score-cpcer", "--ref-trn", "ref.trn", "--ref-rttm", "ref.rttm",
                "--hyp-trn", "hyp.trn"]
 ASSEMBLE = ["assemble", "--manifest", "manifest.tsv", "--texts", "texts.tsv"]
+
+LOADED_MODULES = """
+import contextlib, io, json, sys
+
+def loaded():
+    return sorted(m.removeprefix("diarscore.") for m in sys.modules
+                  if m.startswith("diarscore.") or m == "numpy")
+
+import diarscore
+report = [loaded()]
+import diarscore.cli
+report.append(loaded())
+with contextlib.redirect_stdout(io.StringIO()) as out:
+    code = diarscore.cli.main(json.loads(sys.argv[1]))
+report += [loaded(), code, out.getvalue()]
+print(json.dumps(report))
+"""
+
+CLI_MODULES = ["cli", "errors", "formats"]
+SCORE_DER_MODULES = CLI_MODULES + ["assignment", "der", "reporting", "timeline"]
+POSTPROC_MODULES = CLI_MODULES + ["postproc", "timeline"]
+COMMAND_MODULES = {
+    "score-der": SCORE_DER_MODULES,
+    "score-cpcer": SCORE_DER_MODULES + ["cer", "cpcer"],
+    "fuse": CLI_MODULES + ["assignment", "der", "fusion", "timeline"],
+    "binarize": POSTPROC_MODULES + ["numpy"],
+    "manifest": POSTPROC_MODULES,
+    "assemble": POSTPROC_MODULES,
+    "synth": SCORE_DER_MODULES + ["cer", "cpcer", "synth"],
+}
+SCORE_DER = ["score-der", "--ref", "ref.rttm", "--hyp", "hyp.rttm"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        SCORE_DER,
+        SCORE_DER + ["--brute-force"],
+        SCORE_CPCER,
+        SCORE_CPCER + ["--brute-force"],
+        ["fuse", "ref.rttm", "hyp.rttm", "ref.rttm", "-o", "fused.rttm"],
+        ["manifest", "ref.rttm", "-o", "manifest2.tsv"],
+        ASSEMBLE + ["-o", "assembled.trn"],
+        ["synth", "--out-dir", "again", *SYNTH_SEED_3],
+        ["binarize", "ones.txt", "--max-gap", 0, "--min-dur", 0],
+    ],
+    ids=lambda argv: argv[0] + " --brute-force" * ("--brute-force" in argv),
+)
+def test_each_command_loads_only_its_modules(synth_files, argv):
+    # each CLI step is its own process, and interpreter start-up is most of
+    # a short job: a bare `import diarscore` loads no submodule, the CLI
+    # module loads only what every command uses, and each command adds only
+    # the modules it runs.  Only binarize does array work, so only binarize
+    # loads numpy.
+    argv = [str(a) for a in argv]
+    (synth_files / "ones.txt").write_text("S1 10 A B\n" + "1.0 1.0\n" * 40, encoding="utf-8")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+    proc = subprocess.run(
+        [sys.executable, "-c", LOADED_MODULES, json.dumps(argv)],
+        cwd=synth_files,
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    bare, cli_only, after, code, out = json.loads(proc.stdout)
+    assert (bare, cli_only) == ([], CLI_MODULES)
+    assert (code, after) == (0, sorted(COMMAND_MODULES[argv[0]]))
+    if argv[0] == "binarize":
+        assert out == (
+            "SPEAKER S1 1 0.00 0.40 <NA> <NA> A <NA> <NA>\n"
+            "SPEAKER S1 1 0.00 0.40 <NA> <NA> B <NA> <NA>\n"
+        )
 
 
 @pytest.mark.parametrize(

@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -122,6 +123,14 @@ def test_fuse_validates_inputs():
         fuse_channels([d], weights=[1, 2])
     with pytest.raises(ValidationError):
         fuse_channels([d, d], weights=[1, -1])
+
+
+@pytest.mark.parametrize("bad", [float("inf"), float("-inf"), float("nan"), "x", "1/0"])
+def test_fuse_refuses_a_weight_that_is_not_a_finite_number(bad):
+    # Fraction raises OverflowError, ValueError or ZeroDivisionError for these
+    d = Diarization("S1", {"A": [(0, S)]})
+    with pytest.raises(ValidationError, match=rf"^weight {re.escape(repr(bad))} is not a finite"):
+        fuse_channels([d, d], weights=[bad, 1])
 
 
 def fraction_vote_fuse(inputs, weights):
