@@ -14,6 +14,7 @@ from importlib import import_module
 # Each public name is imported from its module on first access (PEP 562),
 # so a CLI child loads only the modules its command runs.
 _MODULE_NAMES = {
+    "assignment": ("SpeakerMap",),
     "cer": ("EditCounts", "PUNCTUATION", "edit_counts", "edit_distance", "normalize_text"),
     "cpcer": (
         "CpcerResult",
@@ -24,7 +25,6 @@ _MODULE_NAMES = {
     ),
     "der": (
         "DerBreakdown",
-        "SpeakerMap",
         "aggregate_der",
         "brute_force_der",
         "compute_der",

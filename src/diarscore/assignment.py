@@ -11,9 +11,18 @@ Cost matrices are small (n is a speaker count), so the scoring code builds
 them as ``IntMatrix``: rows of Python ints, with no numpy import and no
 int64 ceiling.  The solver itself takes anything with ``.shape`` and
 ``.tolist()``, so an integer ndarray works as well.
+
+The module also holds ``SpeakerMap``, the pairs and unmatched speakers
+that its callers (the DER and cpCER scorers) build from the solver's
+columns, so a scorer needs no other scorer's module for it.
 """
 
 from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import Sequence
+
+from .errors import ValidationError
 
 
 class IntMatrix:
@@ -109,3 +118,30 @@ def lexsmallest_assignment(cost: IntMatrix, maximize: bool = False) -> list[int]
     for j in range(n):
         cols[owner[j]] = j
     return cols
+
+
+@dataclass(frozen=True)
+class SpeakerMap:
+    """Injective pairing between reference and hypothesis speaker ids."""
+
+    pairs: tuple[tuple[str, str], ...]
+    unmatched_ref: tuple[str, ...]
+    unmatched_hyp: tuple[str, ...]
+
+    def __post_init__(self):
+        refs = [r for r, _ in self.pairs]
+        hyps = [h for _, h in self.pairs]
+        if len(set(refs)) != len(refs) or len(set(hyps)) != len(hyps):
+            raise ValidationError("speaker map is not injective")
+
+
+def _with_unmatched(
+    pairs: Sequence[tuple[str, str]], refs: list[str], hyps: list[str]
+) -> SpeakerMap:
+    matched_ref = {r for r, _ in pairs}
+    matched_hyp = {h for _, h in pairs}
+    return SpeakerMap(
+        pairs=tuple(pairs),
+        unmatched_ref=tuple(r for r in refs if r not in matched_ref),
+        unmatched_hyp=tuple(h for h in hyps if h not in matched_hyp),
+    )

@@ -79,8 +79,9 @@ def _report_scores(
     ``score(session, ref, hyp)`` gives one session's result, ``aggregate``
     pools the results into OVERALL, and ``rates`` gives the four rates of a
     result, named by ``columns``.  Stdout gets the version and tunable
-    header lines and the aligned table; ``--tsv`` gets the same rows.  A
-    session whose rates are undefined (an empty reference) reads
+    header lines and the aligned table; ``--tsv`` gets the same rows, and
+    gets them first, so a TSV that cannot be written leaves stdout empty.
+    A session whose rates are undefined (an empty reference) reads
     ``undefined`` in every rate cell, with a warning that names it; its
     counts still go into OVERALL.  Only an undefined OVERALL is an error,
     raised before anything is written.
@@ -115,9 +116,9 @@ def _report_scores(
     headers = ["Session", *columns]
     header_lines = f"# diarscore {__version__} {args.command}\n"
     header_lines += "".join(f"# {tunable}\n" for tunable in tunables)
-    sys.stdout.write(header_lines + render_aligned(headers, rows))
     if args.tsv:
         _write_output(render_tsv([h.lower() for h in headers], rows), args.tsv)
+    sys.stdout.write(header_lines + render_aligned(headers, rows))
     return 0
 
 

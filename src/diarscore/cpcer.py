@@ -29,9 +29,8 @@ from fractions import Fraction
 from itertools import permutations, repeat
 from typing import Iterable, Mapping, Sequence
 
-from .assignment import IntMatrix, lexsmallest_assignment
+from .assignment import IntMatrix, SpeakerMap, _with_unmatched, lexsmallest_assignment
 from .cer import CharSeq, EditCounts, edit_counts, edit_distance, normalize_text
-from .der import SpeakerMap, _with_unmatched
 from .errors import SessionMismatchError, ValidationError
 from .formats import SpeakerTurn, TranscriptEntry
 

@@ -18,7 +18,7 @@ from fractions import Fraction
 from itertools import permutations
 from typing import Iterable, Sequence
 
-from .assignment import IntMatrix, lexsmallest_assignment
+from .assignment import IntMatrix, SpeakerMap, _with_unmatched, lexsmallest_assignment
 from .errors import UndefinedMetricError, ValidationError
 from .timeline import (
     Diarization,
@@ -70,21 +70,6 @@ class DerBreakdown:
         return Fraction(getattr(self, component), self.total)
 
 
-@dataclass(frozen=True)
-class SpeakerMap:
-    """Injective pairing between reference and hypothesis speaker ids."""
-
-    pairs: tuple[tuple[str, str], ...]
-    unmatched_ref: tuple[str, ...]
-    unmatched_hyp: tuple[str, ...]
-
-    def __post_init__(self):
-        refs = [r for r, _ in self.pairs]
-        hyps = [h for _, h in self.pairs]
-        if len(set(refs)) != len(refs) or len(set(hyps)) != len(hyps):
-            raise ValidationError("speaker map is not injective")
-
-
 def optimal_speaker_map(ref: Diarization, hyp: Diarization) -> SpeakerMap:
     """Injective map maximizing total paired overlap duration.
 
@@ -114,18 +99,6 @@ def _speaker_map(
         if j < len(hyps) and matrix[i, j] > 0:
             pairs.append((r, hyps[j]))
     return _with_unmatched(pairs, refs, hyps)
-
-
-def _with_unmatched(
-    pairs: Sequence[tuple[str, str]], refs: list[str], hyps: list[str]
-) -> SpeakerMap:
-    matched_ref = {r for r, _ in pairs}
-    matched_hyp = {h for _, h in pairs}
-    return SpeakerMap(
-        pairs=tuple(pairs),
-        unmatched_ref=tuple(r for r in refs if r not in matched_ref),
-        unmatched_hyp=tuple(h for h in hyps if h not in matched_hyp),
-    )
 
 
 def _breakdown(totals: _ActivityTotals, pairs: Iterable[tuple[str, str]]) -> DerBreakdown:

@@ -620,12 +620,12 @@ SCORE_DER_MODULES = CLI_MODULES + ["assignment", "der", "reporting", "timeline"]
 POSTPROC_MODULES = CLI_MODULES + ["postproc", "timeline"]
 COMMAND_MODULES = {
     "score-der": SCORE_DER_MODULES,
-    "score-cpcer": SCORE_DER_MODULES + ["cer", "cpcer"],
+    "score-cpcer": CLI_MODULES + ["assignment", "cer", "cpcer", "reporting"],
     "fuse": CLI_MODULES + ["assignment", "der", "fusion", "timeline"],
     "binarize": POSTPROC_MODULES + ["numpy"],
     "manifest": POSTPROC_MODULES,
     "assemble": POSTPROC_MODULES,
-    "synth": SCORE_DER_MODULES + ["cer", "cpcer", "synth"],
+    "synth": CLI_MODULES + ["assignment", "cer", "cpcer", "reporting", "synth", "timeline"],
 }
 SCORE_DER = ["score-der", "--ref", "ref.rttm", "--hyp", "hyp.rttm"]
 
@@ -869,6 +869,21 @@ def test_an_empty_overall_reference_is_an_error(capsys, tmp_path):
     argv = ["score-cpcer", "--ref-trn", ref, "--hyp-trn", hyp, "--tsv", tsv]
     assert run(capsys, *argv) == (1, "", "error: session 'OVERALL' has an empty reference\n")
     assert not tsv.exists()
+
+
+@pytest.mark.parametrize("command", ["score-der", "score-cpcer"])
+def test_an_unwritable_tsv_leaves_stdout_empty(capsys, session_files, tmp_path, command):
+    # the TSV is written before the table is printed, so a failed write
+    # leaves no report on stdout to be mistaken for a finished run
+    _, ref, trn = session_files
+    inputs = {
+        "score-der": ["--ref", ref, "--hyp", ref],
+        "score-cpcer": ["--ref-trn", trn, "--hyp-trn", trn],
+    }
+    tsv = tmp_path / "missing" / "out.tsv"
+    code, out, err = run(capsys, command, *inputs[command], "--tsv", tsv)
+    assert (code, out) == (2, "")
+    assert err.startswith("i/o error: ")
 
 
 def test_score_cpcer_holds_one_text_per_stream_and_one_histogram_per_side(tmp_path):

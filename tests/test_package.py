@@ -65,14 +65,38 @@ print(json.dumps([cpcer is sys.modules["diarscore.cpcer"],
 """
 
 
-def test_from_import_of_an_unloaded_submodule_returns_it():
-    # the import system falls back to the submodule when the package's
-    # __getattr__ raises AttributeError, so a fresh interpreter is needed
+SPEAKER_MAP_IMPORT = """
+import json, sys
+from diarscore import SpeakerMap
+import diarscore
+loaded = sorted(m for m in sys.modules if m.startswith("diarscore"))
+import diarscore.der
+print(json.dumps([loaded, diarscore.SpeakerMap is diarscore.der.SpeakerMap
+                  is diarscore.assignment.SpeakerMap is SpeakerMap]))
+"""
+
+
+def fresh_interpreter(code):
+    """What a new interpreter running ``code`` on this checkout prints, as JSON."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     path = os.environ.get("PYTHONPATH")
     env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
     proc = subprocess.run(
-        [sys.executable, "-c", FROM_IMPORT], env=env, capture_output=True, text=True, timeout=60
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
     )
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == [True, True]
+    return json.loads(proc.stdout)
+
+
+def test_from_import_of_an_unloaded_submodule_returns_it():
+    # the import system falls back to the submodule when the package's
+    # __getattr__ raises AttributeError, so a fresh interpreter is needed
+    assert fresh_interpreter(FROM_IMPORT) == [True, True]
+
+
+def test_speaker_map_loads_only_assignment_and_errors_and_is_one_object():
+    # the map lives beside the solver that builds it, so importing it loads
+    # neither the DER scorer nor the region tiling
+    loaded, same = fresh_interpreter(SPEAKER_MAP_IMPORT)
+    assert loaded == ["diarscore", "diarscore.assignment", "diarscore.errors"]
+    assert same
