@@ -188,8 +188,6 @@ def _cmd_score_cpcer(args) -> int:
 
 
 def _cmd_fuse(args) -> int:
-    from fractions import Fraction
-
     from .fusion import fuse_channels
 
     inputs = []
@@ -198,12 +196,7 @@ def _cmd_fuse(args) -> int:
         if len(sessions) != 1:
             raise ValidationError(f"{path}: expected exactly one session, got {len(sessions)}")
         inputs.extend(sessions.values())
-    weights = None
-    if args.weights:
-        try:
-            weights = [Fraction(w) for w in args.weights.split(",")]
-        except (ValueError, ZeroDivisionError):
-            raise ValidationError(f"unparseable weights: {args.weights!r}") from None
+    weights = args.weights.split(",") if args.weights else None
     fused = fuse_channels(inputs, weights)
     _write_output(emit_rttm(fused.to_turns()), args.output)
     return 0

@@ -221,13 +221,12 @@ def compute_cpcer(ref: SpeakerText, hyp: SpeakerText, mode: str = "assignment") 
         for i, rt in enumerate(r_texts):
             for j, ht in enumerate(h_texts):
                 cost[i, j] = edit_distance(rt, ht)
-        best: list[int] | None = None
-        best_total = None
-        for perm in permutations(range(size)):
-            total = sum(cost[i, j] for i, j in enumerate(perm))
-            if best_total is None or total < best_total:
-                best, best_total = list(perm), total
-        cols = best if best is not None else []
+        # min keeps the first of equal totals, and permutations come in
+        # lexicographic order; permutations(range(0)) yields one empty tuple
+        cols = min(
+            permutations(range(size)),
+            key=lambda perm: sum(cost[i, j] for i, j in enumerate(perm)),
+        )
     counts = EditCounts(0, 0, 0, 0)
     pairs = []
     for i, j in enumerate(cols):

@@ -9,6 +9,9 @@ and at most 3 fractional digits.  Times are stored internally as
 integer milliseconds; parsing is exact decimal (no binary floating point
 touches the data path).  A turn must end by ``MAX_END_MS`` = 2**63 - 1 ms
 (about 292 million years), the largest time a Diarization can hold.
+``check_interval`` is the one rule for a valid interval and the text of
+each refusal: the RTTM reader and writer, a Diarization and the manifest
+rows all call it.
 Emission writes 2 decimals for times on the 10 ms grid and 3 for any
 other time, so emitted files re-parse exactly.
 
@@ -79,6 +82,16 @@ def check_id(what: str, value: str) -> None:
         unicodedata.category(ch) in ("Cc", "Cf") for ch in value
     ):
         raise ValidationError(f"{what} must not hold control or format characters: {value!r}")
+
+
+def check_interval(start: int, dur: int) -> None:
+    """Reject a negative start, a non-positive duration or an end past ``MAX_END_MS``."""
+    if start < 0:
+        raise ValidationError(f"negative start time: {start} ms")
+    if dur <= 0:
+        raise ValidationError(f"non-positive duration: {dur} ms")
+    if start + dur > MAX_END_MS:
+        raise ValidationError(f"turn ends past 2**63 - 1 ms: {start} + {dur} ms")
 
 
 def _check_ids(session: str, speaker: str, checked: set[tuple[str, str]]) -> None:
@@ -162,8 +175,8 @@ def _rttm_turns(stream: IO[str] | Iterable[str]) -> Iterator[SpeakerTurn]:
     there was more than one.  Any other first field (a transcript line, or
     a SPEAKER behind a byte-order mark inside two joined files) is a
     ParseError, as are lines with fewer than 9 fields and malformed times;
-    negative times, non-positive durations, turns that end past
-    ``MAX_END_MS`` and ids that ``check_id`` refuses are a ValidationError.
+    negative times, intervals that ``check_interval`` refuses and ids that
+    ``check_id`` refuses are a ValidationError.
     Every error carries the offending line number in ``line``.  The id
     checks run once per distinct (session, speaker) pair.
     """
@@ -189,11 +202,10 @@ def _rttm_turns(stream: IO[str] | Iterable[str]) -> Iterator[SpeakerTurn]:
             # the guard saves a function call per line, about 4% of this loop
             if (session, speaker) not in checked:
                 _check_ids(session, speaker, checked)
-            if dur <= 0:
-                # start is never negative: seconds_to_ms rejects negative times
-                raise ValidationError(f"non-positive duration: {dur} ms")
-            if start + dur > MAX_END_MS:
-                raise ValidationError(f"turn ends past 2**63 - 1 ms: {start} + {dur} ms")
+            # the same guard for check_interval; the start needs no test,
+            # since seconds_to_ms rejects negative times
+            if dur <= 0 or start + dur > MAX_END_MS:
+                check_interval(start, dur)
         except DiarscoreError as exc:
             raise type(exc)(str(exc), line=lineno) from None
         # tuple.__new__ skips the Python-level __new__ of both NamedTuples,
@@ -221,10 +233,9 @@ def emit_rttm(turns: Iterable[SpeakerTurn]) -> str:
 
     Times on the 10 ms grid carry 2 decimals; any other time carries the
     exact milliseconds in 3 decimals.  A turn whose line would not re-parse
-    to the same turn is a ValidationError: an empty session, channel or
-    speaker or one with whitespace, a negative start, a non-positive
-    duration, or an end past ``MAX_END_MS``.  So every file written
-    re-parses to the same turns.
+    to the same turn is a ValidationError: a session, channel or speaker
+    that ``check_id`` refuses, or an interval that ``check_interval``
+    refuses.  So every file written re-parses to the same turns.
     """
     ordered = sorted(turns, key=lambda t: (t.session, t.interval.start, t.speaker))
     checked: set[tuple[str, str, str]] = set()
@@ -235,12 +246,7 @@ def emit_rttm(turns: Iterable[SpeakerTurn]) -> str:
             check_id("channel", channel)
             check_id("speaker", speaker)
             checked.add((session, channel, speaker))
-        if start < 0:
-            raise ValidationError(f"negative start time: {start} ms")
-        if dur <= 0:
-            raise ValidationError(f"non-positive duration: {dur} ms")
-        if start + dur > MAX_END_MS:
-            raise ValidationError(f"turn ends past 2**63 - 1 ms: {start} + {dur} ms")
+        check_interval(start, dur)
         lines.append(
             f"SPEAKER {session} {channel} {_rttm_seconds(start)} {_rttm_seconds(dur)}"
             f" <NA> <NA> {speaker} <NA> <NA>\n"

@@ -52,13 +52,15 @@ def relabel_to_reference(base: Diarization, other: Diarization) -> Diarization:
 
 
 def fuse_channels(
-    inputs: Sequence[Diarization], weights: Sequence[Fraction | int | float] | None = None
+    inputs: Sequence[Diarization], weights: Sequence[Fraction | int | float | str] | None = None
 ) -> Diarization:
     """Fuse channel-wise diarization estimates of one session into one.
 
     weights default to equal, must all be positive and count only by their
-    ratios.  Fusing one input, or several identical ones, returns the input
-    unchanged.
+    ratios.  A weight is anything ``Fraction`` reads, strings such as
+    ``"1/3"`` or ``"0.5"`` included; one it cannot read, or a non-finite
+    one, is a ValidationError.  Fusing one input, or several identical
+    ones, returns the input unchanged.
     """
     if not inputs:
         raise ValidationError("no diarizations to fuse")

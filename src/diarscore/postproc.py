@@ -22,7 +22,8 @@ probabilities per frame, covering contiguous time from 0.
 
 Manifest TSV: header ``session\tspeaker\tstart_ms\tdur_ms``, one row per
 utterance.  The texts file for `assemble` uses the same columns plus a
-final ``text`` column.
+final ``text`` column.  A row's interval must pass
+``formats.check_interval``, the rule an RTTM turn follows.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from dataclasses import dataclass
 from typing import IO, TYPE_CHECKING, Iterable, Iterator, Mapping, NamedTuple
 
 from .errors import DiarscoreError, ParseError, ValidationError
-from .formats import TimeInterval, TranscriptEntry, _check_ids, check_id
+from .formats import TimeInterval, TranscriptEntry, _check_ids, check_id, check_interval
 from .timeline import Diarization
 
 if TYPE_CHECKING:
@@ -308,20 +309,12 @@ class SegmentManifest:
     def __post_init__(self):
         seen: set[ManifestRow] = set()
         for row in self.rows:
-            _check_row(row)
+            check_interval(row.start, row.dur)
             if row in seen:
                 raise ValidationError(f"repeated manifest row: {row}")
             seen.add(row)
         ordered = tuple(sorted(self.rows, key=lambda r: (r.session, r.start, r.speaker)))
         object.__setattr__(self, "rows", ordered)
-
-
-def _check_row(row: ManifestRow) -> None:
-    """A manifest row starts at or after 0 and lasts a positive time."""
-    if row.start < 0:
-        raise ValidationError(f"negative start time in manifest row: {row}")
-    if row.dur <= 0:
-        raise ValidationError(f"non-positive duration in manifest row: {row}")
 
 
 def build_manifest(d: Diarization) -> SegmentManifest:
@@ -358,16 +351,17 @@ def _manifest_row(fields: list[str], checked: set[tuple[str, str]]) -> ManifestR
     """The checked ManifestRow of the first four fields of one manifest or texts line.
 
     A time that is not an ASCII integer is a ParseError; a session or
-    speaker that ``check_id`` rejects, a negative start or a non-positive
-    duration is a ValidationError.  ``checked`` holds the (session,
-    speaker) pairs already checked.  The caller adds the line number.
+    speaker that ``check_id`` rejects, or an interval that
+    ``check_interval`` rejects, is a ValidationError.  ``checked`` holds
+    the (session, speaker) pairs already checked.  The caller adds the
+    line number.
     """
     try:
         row = ManifestRow(fields[0], fields[1], _ascii_int(fields[2]), _ascii_int(fields[3]))
     except ValueError:
         raise ParseError(f"non-integer time in {fields!r}") from None
     _check_ids(row.session, row.speaker, checked)
-    _check_row(row)
+    check_interval(row.start, row.dur)
     return row
 
 

@@ -13,8 +13,9 @@ of start, dur, start, dur, ... in milliseconds, 16 bytes per interval
 where a tuple of TimeIntervals takes 144.  The tiling and the speaker
 map read these arrays; a speaker's tuple of TimeIntervals is built the
 first time ``intervals`` or ``items`` asks for it, and then kept.  So
-every interval must end by 2**63 - 1 ms; one that ends later is a
-ValidationError.
+every interval must end by 2**63 - 1 ms; ``formats.check_interval``
+refuses one that ends later, as it does a negative start or a
+non-positive duration.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from operator import add, lt
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import SessionMismatchError, ValidationError
-from .formats import MAX_END_MS, SpeakerTurn, TimeInterval, check_id
+from .formats import MAX_END_MS, SpeakerTurn, TimeInterval, check_id, check_interval
 
 __all__ = [
     "Diarization",
@@ -68,12 +69,7 @@ def _pack(intervals: Iterable[TimeInterval | tuple[int, int]] | array) -> array:
 def _normalize(pairs: list[tuple[int, int]]) -> array:
     """Check, sort and merge (start, dur) pairs into one packed array."""
     for start, dur in pairs:
-        if start < 0:
-            raise ValidationError(f"negative interval start: {TimeInterval(start, dur)}")
-        if dur <= 0:
-            raise ValidationError(f"non-positive interval duration: {TimeInterval(start, dur)}")
-        if start + dur > MAX_END_MS:
-            raise ValidationError(f"interval ends past 2**63 - 1 ms: {TimeInterval(start, dur)}")
+        check_interval(start, dur)
     pairs.sort()
     merged: list[int] = []  # start, dur, start, dur, ...
     end = -1  # end of the last merged interval; starts are never negative
@@ -189,8 +185,8 @@ def by_session(turns: Iterable[SpeakerTurn]) -> dict[str, Diarization]:
         try:
             packed.append(start)
             packed.append(dur)
-        except OverflowError:  # past int64: refused with the reason _normalize gives
-            _normalize([(start, dur)])
+        except OverflowError:  # past int64: refused with the reason check_interval gives
+            check_interval(start, dur)
             raise
     # each session's arrays are dropped once its Diarization holds its copies
     return {s: Diarization(s, sessions.pop(s)) for s in sorted(sessions)}

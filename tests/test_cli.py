@@ -277,12 +277,14 @@ def test_fuse_idempotent_from_cli(capsys, session_files, tmp_path):
 
 def test_fuse_weights_validation(capsys, session_files):
     _, ref, _ = session_files
-    code, _, err = run(capsys, "fuse", ref, ref, "--weights", "1")
-    assert code == 1
-    assert "weight" in err
-    for weights in ("1,x", "1/0"):
+    # fusion parses the weights: a count mismatch comes before a bad value
+    for weights in ("1", "x"):
         assert run(capsys, "fuse", ref, ref, "--weights", weights) == (
-            1, "", f"error: unparseable weights: {weights!r}\n"
+            1, "", "error: one weight per input required\n"
+        )
+    for weights, bad in (("1,x", "x"), ("1/0,1", "1/0")):
+        assert run(capsys, "fuse", ref, ref, "--weights", weights) == (
+            1, "", f"error: weight {bad!r} is not a finite number\n"
         )
 
 
@@ -402,8 +404,7 @@ def test_inputs_are_parsed_from_the_open_file(capsys, tmp_path):
         ),
         (
             "S1\tA\t-500\t1000",
-            "error: line 2: negative start time in manifest row:"
-            " ManifestRow(session='S1', speaker='A', start=-500, dur=1000)\n",
+            "error: line 2: negative start time: -500 ms\n",
         ),
     ],
     ids=["session-with-underscore", "negative-start"],

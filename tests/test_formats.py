@@ -4,6 +4,7 @@ import random
 import re
 import sys
 import unicodedata
+from array import array
 from decimal import Decimal
 
 import pytest
@@ -24,7 +25,13 @@ from diarscore.formats import (
     seconds_to_ms,
     split_utterance_id,
 )
-from diarscore.postproc import parse_manifest, parse_matrix, parse_texts
+from diarscore.postproc import (
+    ManifestRow,
+    SegmentManifest,
+    parse_manifest,
+    parse_matrix,
+    parse_texts,
+)
 from diarscore.timeline import Diarization, by_session
 from support import random_turn_list
 
@@ -538,9 +545,7 @@ MANIFEST_HEADER = "session\tspeaker\tstart_ms\tdur_ms\n"
         (
             parse_manifest,
             MANIFEST_HEADER + "S1\tA\t0\t100\nS1\tA\t-500\t1000\n",
-            ValidationError, 3,
-            "negative start time in manifest row:"
-            " ManifestRow(session='S1', speaker='A', start=-500, dur=1000)",
+            ValidationError, 3, "negative start time: -500 ms",
         ),
         (
             parse_manifest,
@@ -551,9 +556,7 @@ MANIFEST_HEADER = "session\tspeaker\tstart_ms\tdur_ms\n"
         (
             parse_texts,
             "S1\tA\t0\t100\thello\nS1\tA\t-5\t100\tworld\n",
-            ValidationError, 2,
-            "negative start time in manifest row:"
-            " ManifestRow(session='S1', speaker='A', start=-5, dur=100)",
+            ValidationError, 2, "negative start time: -5 ms",
         ),
         (
             parse_matrix,
@@ -644,6 +647,61 @@ def test_every_reader_refuses_a_line_at_its_number(parse, text, error, line, mes
     assert type(exc.value) is error
     assert exc.value.line == line
     assert str(exc.value) == f"line {line}: {message}"
+
+
+def _rttm_time(ms):
+    return f"{ms // 1000}.{ms % 1000:03d}"
+
+
+# each consumer of an interval, and the line its readers put the interval on
+INTERVAL_CONSUMERS = {
+    "rttm-reader": (2, lambda start, dur: parse_rttm(io.StringIO(
+        GOOD_RTTM + f"SPEAKER S1 1 {_rttm_time(start)} {_rttm_time(dur)} <NA> <NA> A <NA> <NA>\n"
+    ))),
+    "emit_rttm": (None, lambda start, dur: emit_rttm(
+        [SpeakerTurn("S1", "1", "A", TimeInterval(start, dur))]
+    )),
+    "diarization-list": (None, lambda start, dur: Diarization("S1", {"A": [(start, dur)]})),
+    "diarization-array": (
+        None, lambda start, dur: Diarization("S1", {"A": array("q", [start, dur])})
+    ),
+    "by_session": (None, lambda start, dur: by_session(
+        [SpeakerTurn("S1", "1", "A", TimeInterval(start, dur))]
+    )),
+    "segment-manifest": (
+        None, lambda start, dur: SegmentManifest(rows=(ManifestRow("S1", "A", start, dur),))
+    ),
+    "parse_manifest": (2, lambda start, dur: parse_manifest(io.StringIO(
+        MANIFEST_HEADER + f"S1\tA\t{start}\t{dur}\n"
+    ))),
+    "parse_texts": (2, lambda start, dur: parse_texts(io.StringIO(
+        f"S1\tA\t0\t100\thello\nS1\tA\t{start}\t{dur}\tworld\n"
+    ))),
+}
+BAD_INTERVALS = {
+    "negative-start": ((-1000, 500), "negative start time: -1000 ms"),
+    "zero-duration": ((1000, 0), "non-positive duration: 0 ms"),
+    "late-end": ((MAX_END_MS, 1), f"turn ends past 2**63 - 1 ms: {MAX_END_MS} + 1 ms"),
+}
+
+
+@pytest.mark.parametrize(
+    "consumer,case",
+    [
+        pytest.param(consumer, case, id=f"{consumer}-{case}")
+        for consumer in INTERVAL_CONSUMERS
+        for case in BAD_INTERVALS
+        # seconds_to_ms refuses a negative RTTM time first, as `negative time`
+        if (consumer, case) != ("rttm-reader", "negative-start")
+    ],
+)
+def test_every_interval_consumer_refuses_with_the_same_text(consumer, case):
+    line, consume = INTERVAL_CONSUMERS[consumer]
+    (start, dur), message = BAD_INTERVALS[case]
+    with pytest.raises(ValidationError) as exc:
+        consume(start, dur)
+    assert exc.value.line == line
+    assert str(exc.value) == (message if line is None else f"line {line}: {message}")
 
 
 def test_emit_transcript():

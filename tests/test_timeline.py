@@ -336,18 +336,18 @@ PAST_THE_BOUND = [
 
 @pytest.mark.parametrize("intervals", PAST_THE_BOUND)
 def test_diarization_refuses_an_interval_past_the_int64_bound(intervals):
-    with pytest.raises(ValidationError, match=r"interval ends past 2\*\*63 - 1 ms"):
+    with pytest.raises(ValidationError, match=r"turn ends past 2\*\*63 - 1 ms"):
         d("S1", A=intervals)
 
 
 @pytest.mark.parametrize(
     "interval,message",
     [
-        ((MAX_END_MS - 1, 2), "interval ends past 2**63 - 1 ms"),
-        ((MAX_END_MS + 1, 1), "interval ends past 2**63 - 1 ms"),
-        ((0, 2**64), "interval ends past 2**63 - 1 ms"),
-        ((-(2**64), S), "negative interval start"),
-        ((0, -(2**64)), "non-positive interval duration"),
+        ((MAX_END_MS - 1, 2), "turn ends past 2**63 - 1 ms"),
+        ((MAX_END_MS + 1, 1), "turn ends past 2**63 - 1 ms"),
+        ((0, 2**64), "turn ends past 2**63 - 1 ms"),
+        ((-(2**64), S), "negative start time"),
+        ((0, -(2**64)), "non-positive duration"),
     ],
 )
 def test_by_session_refuses_an_interval_past_the_int64_bound(interval, message):
