@@ -67,7 +67,7 @@ _MODULE_NAMES = {
         "corrupt_text",
         "generate_session",
     ),
-    "timeline": ("Diarization", "PairedRegion", "build_regions", "by_session", "pairwise_overlap"),
+    "timeline": ("Diarization", "build_regions", "by_session", "pairwise_overlap"),
 }
 _ORIGIN = {name: module for module, names in _MODULE_NAMES.items() for name in names}
 

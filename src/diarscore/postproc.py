@@ -51,6 +51,7 @@ __all__ = [
     "build_manifest",
     "check_tunables",
     "combine_manifests",
+    "emit_manifest",
     "parse_manifest",
     "parse_matrix",
     "parse_texts",

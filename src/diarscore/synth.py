@@ -250,6 +250,8 @@ def corrupt_diarization(
     Set grid_ms=10 (and pass multiples of 10) when the result will be
     emitted as RTTM: 2-decimal seconds cannot express finer boundaries.
     """
+    if grid_ms < 1:
+        raise ValidationError(f"grid_ms must be positive: {grid_ms}")
     for name, value in (("fa_ms", fa_ms), ("miss_ms", miss_ms), ("spkerr_ms", spkerr_ms)):
         if value < 0:
             raise ValidationError(f"{name} must be non-negative")

@@ -2,7 +2,9 @@
 
 A Diarization maps each speaker to disjoint, sorted speech intervals; the
 region tiling cuts one or more diarizations of a session at every interval
-boundary so that active-speaker sets are constant within each region.  All
+boundary so that active-speaker sets are constant within each region.  Each
+region is (interval, tuple of one active set per input): the one shape that
+the DER routes (through ``build_regions``) and ``fusion`` read.  All
 interval arithmetic is closed-open [start, start + dur) on integer
 milliseconds, so regions tile the span exactly with no double counting.
 ``by_session`` is the one grouper of SpeakerTurns into Diarizations: a
@@ -23,14 +25,13 @@ from __future__ import annotations
 from array import array
 from itertools import repeat
 from operator import add, lt
-from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import SessionMismatchError, ValidationError
 from .formats import MAX_END_MS, SpeakerTurn, TimeInterval, check_id, check_interval
 
 __all__ = [
     "Diarization",
-    "PairedRegion",
     "by_session",
     "build_regions",
     "joint_regions",
@@ -61,9 +62,7 @@ def _pack(intervals: Iterable[TimeInterval | tuple[int, int]] | array) -> array:
         ):
             return intervals[:]
         return _normalize(list(zip(starts, durs)))
-    return _normalize(
-        [iv if isinstance(iv, TimeInterval) else TimeInterval(*iv) for iv in intervals]
-    )
+    return _normalize(list(intervals))
 
 
 def _normalize(pairs: list[tuple[int, int]]) -> array:
@@ -194,19 +193,11 @@ def by_session(turns: Iterable[SpeakerTurn]) -> dict[str, Diarization]:
 
 # total ms of each distinct (ref active set, hyp active set) of a tiling
 _ActivityTotals = dict[tuple[frozenset[str], frozenset[str]], int]
+# a region of a tiling: its interval and one active-speaker set per input
+_Region = tuple[TimeInterval, tuple[frozenset[str], ...]]
 
 
-class PairedRegion(NamedTuple):
-    """A region of constant activity in a (reference, hypothesis) pair."""
-
-    interval: TimeInterval
-    ref_active: frozenset[str]
-    hyp_active: frozenset[str]
-
-
-def joint_regions(
-    diarizations: Sequence[Diarization],
-) -> list[tuple[TimeInterval, tuple[frozenset[str], ...]]]:
+def joint_regions(diarizations: Sequence[Diarization]) -> list[_Region]:
     """Tile the union of all extents into regions of constant activity.
 
     Boundaries are collected from every interval of every input; each region
@@ -263,9 +254,13 @@ def joint_regions(
     return regions
 
 
-def build_regions(ref: Diarization, hyp: Diarization) -> list[PairedRegion]:
-    """Region tiling of a (reference, hypothesis) pair of the same session."""
-    return [PairedRegion(iv, act[0], act[1]) for iv, act in joint_regions([ref, hyp])]
+def build_regions(ref: Diarization, hyp: Diarization) -> list[_Region]:
+    """Region tiling of a (reference, hypothesis) pair of the same session.
+
+    It is ``joint_regions([ref, hyp])``: each region is
+    ``(interval, (ref_active, hyp_active))``.
+    """
+    return joint_regions([ref, hyp])
 
 
 def pairwise_overlap(ref: Diarization, hyp: Diarization) -> dict[tuple[str, str], int]:
@@ -277,15 +272,14 @@ def pairwise_overlap(ref: Diarization, hyp: Diarization) -> dict[tuple[str, str]
     return _overlap(_activity_totals(build_regions(ref, hyp)), ref, hyp)
 
 
-def _activity_totals(regions: Iterable[PairedRegion]) -> _ActivityTotals:
+def _activity_totals(regions: Iterable[_Region]) -> _ActivityTotals:
     """Total ms of each distinct (ref active set, hyp active set) of a tiling.
 
     Every per-region sum over a tiling (overlap, DER components) is linear
     in the duration, so it can be taken over these totals instead, exactly.
     """
     totals: _ActivityTotals = {}
-    for interval, ref_active, hyp_active in regions:
-        key = (ref_active, hyp_active)
+    for interval, key in regions:
         totals[key] = totals.get(key, 0) + interval.dur
     return totals
 

@@ -16,11 +16,15 @@ import diarscore
 MODULES = sorted(m.name for m in pkgutil.iter_modules(diarscore.__path__))
 
 
+def top_level(module):
+    """A module's own top-level statements."""
+    return ast.parse(Path(import_module(f"diarscore.{module}").__file__).read_text("utf-8")).body
+
+
 def defined_names(module):
     """The names a module's own top-level statements define, not import."""
-    tree = ast.parse(Path(import_module(f"diarscore.{module}").__file__).read_text("utf-8"))
     names = set()
-    for node in tree.body:
+    for node in top_level(module):
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             names.add(node.name)
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
@@ -31,7 +35,7 @@ def defined_names(module):
 
 def test_every_public_name_is_its_defining_modules_object(monkeypatch):
     defined = {module: defined_names(module) for module in MODULES}
-    assert len(diarscore.__all__) == len(set(diarscore.__all__)) == 51
+    assert len(diarscore.__all__) == len(set(diarscore.__all__)) == 50
     for name in diarscore.__all__:
         [module] = [m for m in MODULES if name in defined[m]]
         # drop a value an earlier access cached, so this one is looked up anew
@@ -39,6 +43,19 @@ def test_every_public_name_is_its_defining_modules_object(monkeypatch):
         value = getattr(diarscore, name)
         assert value is getattr(import_module(f"diarscore.{module}"), name), name
         assert vars(diarscore)[name] is value, name
+
+
+def test_each_all_lists_every_public_function_and_class_of_its_module():
+    for module in MODULES:
+        listed = getattr(import_module(f"diarscore.{module}"), "__all__", None)
+        if listed is None:
+            continue
+        public = {
+            node.name
+            for node in top_level(module)
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
+        }
+        assert public <= set(listed), (module, sorted(public - set(listed)))
 
 
 def test_star_import_binds_exactly_all_and_dir_lists_it():

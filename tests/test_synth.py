@@ -108,6 +108,15 @@ def test_injection_errors():
         corrupt_diarization(sess.diarization, fa_ms=-1)
 
 
+@pytest.mark.parametrize("grid_ms", [0, -10])
+def test_grid_must_be_positive(grid_ms):
+    # refused before the amounts are checked against the grid
+    sess = generate_session(speakers=2, duration_ms=10_000, overlap=0.0, seed=34)
+    with pytest.raises(ValidationError) as exc:
+        corrupt_diarization(sess.diarization, fa_ms=100, grid_ms=grid_ms)
+    assert str(exc.value) == f"grid_ms must be positive: {grid_ms}"
+
+
 def test_corrupt_text_single_kind_rates():
     sess = generate_session(speakers=1, duration_ms=35_000, overlap=0.0, seed=35)
     streams = concat_by_speaker(sess.transcript)

@@ -66,7 +66,7 @@ def test_regions_example():
     a = d("S1", A=[(0, 10 * S)])
     b = d("S1", X=[(5 * S, 10 * S)])
     regions = build_regions(a, b)
-    assert [(r.interval, set(r.ref_active), set(r.hyp_active)) for r in regions] == [
+    assert [(iv, set(ref_active), set(hyp_active)) for iv, (ref_active, hyp_active) in regions] == [
         (TimeInterval(0, 5 * S), {"A"}, set()),
         (TimeInterval(5 * S, 5 * S), {"A"}, {"X"}),
         (TimeInterval(10 * S, 5 * S), set(), {"X"}),
@@ -76,9 +76,7 @@ def test_regions_example():
 def test_regions_identical_inputs_single_region():
     a = d("S1", A=[(0, 10 * S)])
     regions = build_regions(a, a)
-    assert len(regions) == 1
-    assert regions[0].interval == TimeInterval(0, 10 * S)
-    assert regions[0].ref_active == regions[0].hyp_active == frozenset({"A"})
+    assert regions == [(TimeInterval(0, 10 * S), (frozenset({"A"}), frozenset({"A"})))]
 
 
 def test_regions_empty_inputs():
@@ -116,11 +114,11 @@ def test_region_durations_tile_the_span(a, b):
     regions = build_regions(a, b)
     if not regions:
         return
-    span = regions[-1].interval.end - regions[0].interval.start
-    assert sum(r.interval.dur for r in regions) == span
-    for first, second in zip(regions, regions[1:]):
-        assert first.interval.end == second.interval.start
-        assert (first.ref_active, first.hyp_active) != (second.ref_active, second.hyp_active)
+    span = regions[-1][0].end - regions[0][0].start
+    assert sum(iv.dur for iv, _ in regions) == span
+    for (first, first_active), (second, second_active) in zip(regions, regions[1:]):
+        assert first.end == second.start
+        assert first_active != second_active
 
 
 @settings(max_examples=60, deadline=None)
