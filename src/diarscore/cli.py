@@ -37,6 +37,11 @@ R = TypeVar("R")  # one session of a reference or hypothesis
 S = TypeVar("S")  # one session's score
 
 
+# _read_speaker_texts joins this many lines of a (session, speaker) pair
+# into one string, so a long stream is not held as one string per line
+_TEXT_BLOCK_LINES = 64
+
+
 def _parse_file(parse: Callable[[IO[str]], T], path: str) -> T:
     """Run a parser over the lines of one open UTF-8 file, BOM skipped."""
     with open(path, "r", encoding="utf-8-sig") as fh:
@@ -147,22 +152,32 @@ def _read_speaker_texts(
     """One SpeakerText per session of a transcript, and each pair's line count.
 
     Each line's text goes onto the list of its (session, speaker) pair as
-    it is read, so no entry outlives its line.  A pair's texts are joined
-    in file order, which is the order_key order ``concat_by_speaker``
-    sorts by, then normalized once, with punctuation dropped if ``strip``.
-    The counts keep the order in which the pairs first appear.
+    it is read, so no entry outlives its line, and every _TEXT_BLOCK_LINES
+    lines of a pair are joined into one block string in their place: the
+    list holds the pair's blocks, then its pending lines, and no line is
+    joined into a block twice.  A pair's texts are joined in file order,
+    which is the order_key order ``concat_by_speaker`` sorts by, then
+    normalized once, with punctuation dropped if ``strip``.  The counts
+    keep the order in which the pairs first appear.
     """
     from .cer import normalize_text
     from .cpcer import SpeakerText
 
     parts: dict[tuple[str, str], list[str]] = {}
+    counts: dict[tuple[str, str], int] = {}
     with open(path, "r", encoding="utf-8-sig") as fh:
         for e in _transcript_entries(fh):
-            parts.setdefault((e.session, e.speaker), []).append(e.text)
-    counts = {pair: len(texts) for pair, texts in parts.items()}
+            pair = (e.session, e.speaker)
+            parts.setdefault(pair, []).append(e.text)
+            counts[pair] = n = counts.get(pair, 0) + 1
+            if n % _TEXT_BLOCK_LINES == 0:
+                # no local names the list, so each list goes when it is popped
+                parts[pair][-_TEXT_BLOCK_LINES:] = ["".join(parts[pair][-_TEXT_BLOCK_LINES:])]
     streams: dict[str, dict[str, CharSeq]] = {}
-    for (session, speaker), texts in parts.items():
-        streams.setdefault(session, {})[speaker] = normalize_text("".join(texts), strip)
+    for session, speaker in counts:
+        # popped, so a pair's blocks go once its text is joined
+        text = normalize_text("".join(parts.pop((session, speaker))), strip)
+        streams.setdefault(session, {})[speaker] = text
     return {s: SpeakerText(s, st) for s, st in streams.items()}, counts
 
 
@@ -196,7 +211,7 @@ def _cmd_fuse(args) -> int:
         if len(sessions) != 1:
             raise ValidationError(f"{path}: expected exactly one session, got {len(sessions)}")
         inputs.extend(sessions.values())
-    weights = args.weights.split(",") if args.weights else None
+    weights = args.weights.split(",") if args.weights is not None else None
     fused = fuse_channels(inputs, weights)
     _write_output(emit_rttm(fused.to_turns()), args.output)
     return 0

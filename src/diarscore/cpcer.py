@@ -166,12 +166,14 @@ def _histogram_bounds(
     At most one histogram per side is alive at a time: a reference
     stream's for its row, and a hypothesis stream's for one cell, dropped
     when that cell is filled.  The common count walks the smaller of the
-    two, so no key intersection is built.
+    two, so no key intersection is built.  Each histogram counts code
+    points, not one-character strings: the counts are the same, and an
+    int key takes under half the bytes of a one-character CJK string.
     """
     cost = IntMatrix(len(r_texts), len(h_texts))
     inexact = set()
     for i, rt in enumerate(r_texts):
-        cr = Counter(rt)
+        cr = Counter(map(ord, rt))
         for j, ht in enumerate(h_texts):
             common = _common_count(cr, ht)
             cost[i, j] = max(len(rt), len(ht)) - common
@@ -180,9 +182,9 @@ def _histogram_bounds(
     return cost, inexact
 
 
-def _common_count(cr: Counter[str], text: str) -> int:
-    """sum_c min(cr[c], c_text[c]); the histogram of text lives only in this call."""
-    ch = Counter(text)
+def _common_count(cr: Counter[int], text: str) -> int:
+    """sum_c min(cr[c], c_text[c]) over code points c; c_text lives only in this call."""
+    ch = Counter(map(ord, text))
     small, large = (cr, ch) if len(cr) <= len(ch) else (ch, cr)
     # summed at C level: no Python frame per key of the smaller histogram
     return sum(map(min, small.values(), map(large.get, small, repeat(0))))

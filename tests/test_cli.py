@@ -278,7 +278,7 @@ def test_fuse_idempotent_from_cli(capsys, session_files, tmp_path):
 def test_fuse_weights_validation(capsys, session_files):
     _, ref, _ = session_files
     # fusion parses the weights: a count mismatch comes before a bad value
-    for weights in ("1", "x"):
+    for weights in ("1", "x", ""):
         assert run(capsys, "fuse", ref, ref, "--weights", weights) == (
             1, "", "error: one weight per input required\n"
         )
@@ -900,10 +900,28 @@ def test_score_cpcer_holds_one_text_per_stream_and_one_histogram_per_side(tmp_pa
     # what has to be held: each stream's joined text on both sides and one
     # histogram of the longest stream per side
     streams = ["".join(texts[k::4]) for k in range(4)]
-    _, histogram = traced_peak(Counter, streams[0])
+    _, histogram = traced_peak(Counter, map(ord, streams[0]))
     held = 2 * sum(map(sys.getsizeof, streams)) + 2 * histogram
-    # the run's peak came to 1.25 times that; holding one slotted entry per
-    # line on both sides came to over 3.5 times
+    # the run's peak came to 1.12 times that; histograms and match tables
+    # keyed by one-character strings came to 1.53 times, and holding one
+    # slotted entry per line on both sides to over 3.5 times
+    assert peak <= 1.5 * held, peak / held
+
+
+def test_read_speaker_texts_holds_blocks_not_lines(tmp_path):
+    # 40,000 lines of 2 to 12 CJK characters over 2 sessions x 4 speakers
+    rng = random.Random(9)
+    trn = tmp_path / "ref.trn"
+    lines = []
+    for k in range(40_000):
+        text = "".join(chr(rng.randrange(0x4E00, 0x9FA6)) for _ in range(rng.randrange(2, 13)))
+        lines.append(f"SPK{k % 4}_S{k // 4 % 2} {text}\n")
+    trn.write_text("".join(lines), encoding="utf-8")
+    (texts, counts), peak = traced_peak(cli._read_speaker_texts, str(trn), True)
+    assert list(counts.values()) == [5_000] * 8
+    held = sum(sys.getsizeof(t) for s in texts.values() for t in s.streams.values())
+    # the read came to 1.32 times the texts it returns; one string per line
+    # came to 8.1 times
     assert peak <= 1.5 * held, peak / held
 
 
@@ -954,8 +972,9 @@ def run_logged(argv):
 def test_score_cpcer_matches_the_per_entry_route(ref, hyp, flags):
     # interleaved sessions, repeated IDs, empty texts, whitespace and
     # punctuation: every output is the one the entry lists and
-    # concat_by_speaker give
-    with tempfile.TemporaryDirectory() as tmp:
+    # concat_by_speaker give; blocks of 2 lines, so that a pair's lines are
+    # joined across block boundaries
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(cli, "_TEXT_BLOCK_LINES", 2):
         paths = {name: Path(tmp) / name for name in ("ref.trn", "hyp.trn", "ref.rttm", "t.tsv")}
         paths["ref.trn"].write_text("".join(ref), encoding="utf-8")
         paths["hyp.trn"].write_text("".join(hyp), encoding="utf-8")
