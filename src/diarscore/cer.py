@@ -20,6 +20,7 @@ keeps 2n bits per hypothesis character instead of a full integer table.
 from __future__ import annotations
 
 import math
+import re
 import string
 import unicodedata
 from dataclasses import dataclass
@@ -44,6 +45,8 @@ PUNCTUATION = frozenset(
 )
 # str.translate deletes each character this table maps to None
 _DROP_PUNCTUATION = dict.fromkeys(map(ord, PUNCTUATION))
+# finds a PUNCTUATION character without allocating, where str.translate copies
+_FIND_PUNCTUATION = re.compile("[" + re.escape("".join(sorted(PUNCTUATION))) + "]")
 
 
 @dataclass(frozen=True)
@@ -94,7 +97,9 @@ def normalize_text(raw: str, strip_punctuation: bool = True) -> CharSeq:
         raw = "".join(ch for ch in raw if unicodedata.category(ch) != "Cf")
     # str.split() splits on exactly the characters str.isspace() accepts
     text = "".join(unicodedata.normalize("NFC", raw).split())
-    return text.translate(_DROP_PUNCTUATION) if strip_punctuation else text
+    if strip_punctuation and _FIND_PUNCTUATION.search(text):
+        return text.translate(_DROP_PUNCTUATION)
+    return text
 
 
 def _middles(ref: str, hyp: str) -> tuple[str, str]:

@@ -7,20 +7,21 @@ an OVERALL row, echo the active tunables in header lines, print aligned
 text to stdout, and mirror the same rows to a TSV.  Every input is parsed
 straight from its open file; every command that reads RTTM streams its
 turns through the same reader.  Each command imports only the modules it
-runs, so numpy is loaded by binarize alone.  Exit codes: 0 success, 1
-validation error, 2 I/O error (argparse usage errors also exit 2).
+runs, so numpy is loaded by binarize alone, and ``logging`` loads with
+the first warning, which goes to stderr as ``WARNING: <message>``.  Exit
+codes: 0 success, 1 validation error, 2 I/O error (argparse usage errors
+also exit 2).
 """
 
 from __future__ import annotations
 
 import argparse
-import logging
 import sys
 from pathlib import Path
 from typing import IO, TYPE_CHECKING, Callable, Iterator, Mapping, Sequence, TypeVar
 
-from . import __version__
-from .errors import DiarscoreError, UndefinedMetricError, ValidationError
+from . import __version__, errors
+from .errors import DiarscoreError, UndefinedMetricError, ValidationError, _warn
 from .formats import SpeakerTurn, _rttm_turns, _transcript_entries, emit_rttm, emit_transcript
 
 if TYPE_CHECKING:
@@ -29,8 +30,6 @@ if TYPE_CHECKING:
     from .cer import CharSeq
     from .cpcer import SpeakerText
     from .timeline import Diarization
-
-logger = logging.getLogger("diarscore")
 
 T = TypeVar("T")
 R = TypeVar("R")  # one session of a reference or hypothesis
@@ -95,9 +94,9 @@ def _report_scores(
 
     common = sorted(refs.keys() & hyps.keys())
     for missing in sorted(refs.keys() - hyps.keys()):
-        logger.warning("session %s has no hypothesis; not scored", missing)
+        _warn("diarscore", "session %s has no hypothesis; not scored", missing)
     for missing in sorted(hyps.keys() - refs.keys()):
-        logger.warning("session %s has no reference; not scored", missing)
+        _warn("diarscore", "session %s has no reference; not scored", missing)
     if not common:
         raise ValidationError("no overlapping sessions between reference and hypothesis")
 
@@ -108,7 +107,7 @@ def _report_scores(
         except UndefinedMetricError:
             if overall:
                 raise UndefinedMetricError(f"session {label!r} has an empty reference") from None
-            logger.warning("session %s has an empty reference; its rates are undefined", label)
+            _warn("diarscore", "session %s has an empty reference; its rates are undefined", label)
             return [label, *["undefined"] * len(columns)]
 
     results = []
@@ -368,7 +367,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    logging.basicConfig(level=logging.WARNING, format="%(levelname)s: %(message)s")
+    # applied with the first warning, so a run that warns about nothing
+    # never loads logging
+    errors._stderr_format = "%(levelname)s: %(message)s"
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)

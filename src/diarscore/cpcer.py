@@ -22,7 +22,6 @@ of which assignment wins.
 
 from __future__ import annotations
 
-import logging
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
@@ -31,10 +30,8 @@ from typing import Iterable, Mapping, Sequence
 
 from .assignment import IntMatrix, SpeakerMap, _with_unmatched, lexsmallest_assignment
 from .cer import CharSeq, EditCounts, edit_counts, edit_distance, normalize_text
-from .errors import SessionMismatchError, ValidationError
+from .errors import SessionMismatchError, ValidationError, _warn
 from .formats import SpeakerTurn, TranscriptEntry
-
-logger = logging.getLogger(__name__)
 
 __all__ = [
     "CpcerResult",
@@ -80,7 +77,8 @@ def concat_by_speaker(
         seen: dict[int, str] = {}
         for e in group:
             if e.order_key in seen and seen[e.order_key] != e.text:
-                logger.warning(
+                _warn(
+                    __name__,
                     "speaker %s has conflicting texts at order key %d; keeping both",
                     spk,
                     e.order_key,
@@ -118,7 +116,8 @@ def _check_turn_counts(
     for key in [*n_entries, *sorted(n_turns.keys() - n_entries.keys())]:
         n = n_entries.get(key, 0)
         if n != n_turns[key]:
-            logger.warning(
+            _warn(
+                __name__,
                 "session %s speaker %s: %d transcript entries vs %d turns; keeping file order",
                 key[0],
                 key[1],

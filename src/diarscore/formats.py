@@ -34,14 +34,11 @@ too: ``_transcript_entries`` yields one entry per line, and
 
 from __future__ import annotations
 
-import logging
-import unicodedata
 from dataclasses import dataclass
 from typing import IO, Iterable, Iterator, NamedTuple
 
-from .errors import DiarscoreError, ParseError, ValidationError
+from .errors import DiarscoreError, ParseError, ValidationError, _warn
 
-logger = logging.getLogger(__name__)
 _new_tuple = tuple.__new__
 
 # The record types NIST RTTM defines besides SPEAKER; the reader skips these.
@@ -77,11 +74,15 @@ def check_id(what: str, value: str) -> None:
     """
     if not value or value.split() != [value]:
         raise ValidationError(f"{what} must be non-empty without whitespace: {value!r}")
-    # no Cc or Cf character is printable, so a printable id skips the lookups
-    if not value.isprintable() and any(
-        unicodedata.category(ch) in ("Cc", "Cf") for ch in value
-    ):
-        raise ValidationError(f"{what} must not hold control or format characters: {value!r}")
+    # no Cc or Cf character is printable, so a printable id skips the lookups,
+    # and the module that does them
+    if not value.isprintable():
+        import unicodedata
+
+        if any(unicodedata.category(ch) in ("Cc", "Cf") for ch in value):
+            raise ValidationError(
+                f"{what} must not hold control or format characters: {value!r}"
+            )
 
 
 def check_interval(start: int, dur: int) -> None:
@@ -190,7 +191,7 @@ def _rttm_turns(stream: IO[str] | Iterable[str]) -> Iterator[SpeakerTurn]:
             if fields[0] not in _OTHER_RTTM_TYPES:
                 raise ParseError(f"not an RTTM record type: {fields[0]!r}", line=lineno)
             if not skipped:
-                logger.warning("line %d: skipping record type %r", lineno, fields[0])
+                _warn(__name__, "line %d: skipping record type %r", lineno, fields[0])
             skipped += 1
             continue
         if len(fields) < 9:
@@ -214,7 +215,7 @@ def _rttm_turns(stream: IO[str] | Iterable[str]) -> Iterator[SpeakerTurn]:
             SpeakerTurn, (session, fields[2], speaker, _new_tuple(TimeInterval, (start, dur)))
         )
     if skipped > 1:
-        logger.warning("skipped %d records that are not SPEAKER", skipped)
+        _warn(__name__, "skipped %d records that are not SPEAKER", skipped)
 
 
 def parse_rttm(stream: IO[str] | Iterable[str]) -> list[SpeakerTurn]:

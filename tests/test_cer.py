@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -291,6 +292,16 @@ def test_match_table_of_distinct_cjk_text_is_keyed_by_code_point():
     (masks, at), peak = traced_peak(cer_module._match_masks, ref)
     assert peak < 840_000
     assert (masks, at) == ({}, {0x4E00 + k: k for k in range(8_000)})
+
+
+def test_normalize_copies_no_text_without_punctuation():
+    # NFC, split and join each return a clean CJK text itself, and the
+    # punctuation search allocates nothing; str.translate always copies
+    # and peaked at 150% of the text
+    text = cjk_stream(100_000)
+    result, peak = traced_peak(normalize_text, text)
+    assert result == text
+    assert peak < sys.getsizeof(text) // 10
 
 
 @settings(max_examples=300, deadline=None)

@@ -604,7 +604,7 @@ import contextlib, io, json, sys
 
 def loaded():
     return sorted(m.removeprefix("diarscore.") for m in sys.modules
-                  if m.startswith("diarscore.") or m == "numpy")
+                  if m.startswith("diarscore.") or m in ("logging", "numpy", "unicodedata"))
 
 import diarscore
 report = [loaded()]
@@ -621,14 +621,25 @@ SCORE_DER_MODULES = CLI_MODULES + ["assignment", "der", "reporting", "timeline"]
 POSTPROC_MODULES = CLI_MODULES + ["postproc", "timeline"]
 COMMAND_MODULES = {
     "score-der": SCORE_DER_MODULES,
-    "score-cpcer": CLI_MODULES + ["assignment", "cer", "cpcer", "reporting"],
+    "score-cpcer": CLI_MODULES + ["assignment", "cer", "cpcer", "reporting", "unicodedata"],
     "fuse": CLI_MODULES + ["assignment", "der", "fusion", "timeline"],
     "binarize": POSTPROC_MODULES + ["numpy"],
     "manifest": POSTPROC_MODULES,
     "assemble": POSTPROC_MODULES,
-    "synth": CLI_MODULES + ["assignment", "cer", "cpcer", "reporting", "synth", "timeline"],
+    "synth": CLI_MODULES
+    + ["assignment", "cer", "cpcer", "reporting", "synth", "timeline", "unicodedata"],
 }
 SCORE_DER = ["score-der", "--ref", "ref.rttm", "--hyp", "hyp.rttm"]
+
+
+def run_fresh(cwd, *args):
+    """A new interpreter run with ``args`` in ``cwd``, this checkout's src/ on its path."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+    return subprocess.run(
+        [sys.executable, *args], cwd=cwd, env=env, capture_output=True, text=True, timeout=120
+    )
 
 
 @pytest.mark.parametrize(
@@ -651,20 +662,12 @@ def test_each_command_loads_only_its_modules(synth_files, argv):
     # a short job: a bare `import diarscore` loads no submodule, the CLI
     # module loads only what every command uses, and each command adds only
     # the modules it runs.  Only binarize does array work, so only binarize
-    # loads numpy.
+    # loads numpy; only cer normalizes text, so only the commands that load it
+    # load unicodedata; and logging loads with the first warning, which no
+    # command gives on these inputs.
     argv = [str(a) for a in argv]
     (synth_files / "ones.txt").write_text("S1 10 A B\n" + "1.0 1.0\n" * 40, encoding="utf-8")
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    path = os.environ.get("PYTHONPATH")
-    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
-    proc = subprocess.run(
-        [sys.executable, "-c", LOADED_MODULES, json.dumps(argv)],
-        cwd=synth_files,
-        env=env,
-        capture_output=True,
-        text=True,
-        timeout=120,
-    )
+    proc = run_fresh(synth_files, "-c", LOADED_MODULES, json.dumps(argv))
     assert proc.returncode == 0, proc.stderr
     bare, cli_only, after, code, out = json.loads(proc.stdout)
     assert (bare, cli_only) == ([], CLI_MODULES)
@@ -674,6 +677,31 @@ def test_each_command_loads_only_its_modules(synth_files, argv):
             "SPEAKER S1 1 0.00 0.40 <NA> <NA> A <NA> <NA>\n"
             "SPEAKER S1 1 0.00 0.40 <NA> <NA> B <NA> <NA>\n"
         )
+
+
+def test_a_fresh_score_der_writes_each_warning_as_one_stderr_line(tmp_path):
+    # the CLI gives its stderr format to logging only with the first warning,
+    # so a fresh process is the one place that format can be seen
+    ref = (
+        "SPEAKER D001 1 0.00 1.00 <NA> <NA> A <NA> <NA>\n"
+        "SPEAKER D001 1 1.00 1.00 <NA> <NA> B <NA> <NA>\n"
+        "SPEAKER D001 1 2.00 1.00 <NA> <NA> A <NA> <NA>\n"
+        "SPEAKER D001 1 3.00 1.00 <NA> <NA> B <NA> <NA>\n"
+        "SPEAKER D001 1 4.00 1.00 <NA> <NA> A <NA> <NA>\n"
+        "LEXEME D001 1 4.00 0.50 hello lex A <NA> <NA>\n"
+        "SPEAKER D002 1 0.00 1.00 <NA> <NA> A <NA> <NA>\n"
+    )
+    (tmp_path / "ref.rttm").write_text(ref, encoding="utf-8")
+    (tmp_path / "hyp.rttm").write_text(
+        "SPEAKER D001 1 0.00 5.00 <NA> <NA> X <NA> <NA>\n", encoding="utf-8"
+    )
+    proc = run_fresh(tmp_path, "-m", "diarscore.cli", *SCORE_DER)
+    assert (proc.returncode, proc.stderr) == (
+        0,
+        "WARNING: line 6: skipping record type 'LEXEME'\n"
+        "WARNING: session D002 has no hypothesis; not scored\n",
+    )
+    assert proc.stdout.splitlines()[-1].split()[0] == "OVERALL"
 
 
 @pytest.mark.parametrize(
